@@ -71,14 +71,18 @@ docs-check:
 # Serving gate (DESIGN.md §8): a 200-request deterministic loadgen mix
 # against 1- and 2-worker in-process servers — zero errors and a
 # byte-stable JSONL summary under the fixed seed (each --check runs the
-# stream twice and compares bytes) — then the serving benchmark, which
-# enforces the fixed-base (>=1.5x) and served-throughput (>=2x) floors
-# without touching the committed BENCH_serve.json.
+# stream twice and compares bytes) — then the admission acceptance
+# tests (direct path == server reply parity, overlong-line resync,
+# pool rebuild after a worker SIGKILL), then the serving benchmark,
+# which enforces the fixed-base (>=1.5x) and served-throughput (>=2x)
+# floors without touching the committed BENCH_serve.json.
 serve-smoke:
 	$(PYTHON) -m repro loadgen --workers 1 --n 200 --seed 7 --check \
 	    --out /dev/null
 	$(PYTHON) -m repro loadgen --workers 2 --n 200 --seed 7 --check \
 	    --out /dev/null
+	$(PYTHON) -m pytest -q tests/test_serve_admission.py \
+	    -k "parity or overlong or pool_restart"
 	$(PYTHON) -m repro loadgen --bench --smoke --bench-output none
 
 # Scale-out gate (DESIGN.md §8 "Scale-out"): the deterministic --check

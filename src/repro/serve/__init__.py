@@ -6,9 +6,12 @@ batches of compatible requests to a :mod:`multiprocessing` worker pool
 (:mod:`repro.serve.worker`) whose fixed-base comb tables
 (:mod:`repro.scalarmult.fixed_base`) make the common fixed-point
 operations several times faster than the variable-base path.
-Server-resident named keys, tenancy and quotas live in
-:mod:`repro.serve.keys` (the ``key_create`` / ``key_rotate`` /
-``key_delete`` / ``key_info`` ops, plus ``params.key`` on sign/ECDH).
+The sans-IO admission core (:mod:`repro.serve.admission`) is the one
+path from a request line to compute, shared by the server and the
+in-process direct path.  Server-resident named keys, tenancy and
+quotas live in :mod:`repro.serve.keys` (the ``key_create`` /
+``key_rotate`` / ``key_delete`` / ``key_info`` ops, plus
+``params.key`` on sign/ECDH).
 Clients live in :mod:`repro.serve.client`; the deterministic load
 generator / benchmark driver in :mod:`repro.serve.loadgen`.
 """

@@ -7,12 +7,12 @@ signs or agrees with ``params.key = "<name>"`` afterwards — the secret
 never appears in a request or reply again.  Three cooperating pieces:
 
 * :class:`KeyRegistry` — the per-process view of the key namespace.
-  The server front-end owns a *writable* registry (it answers the
-  ``key_create`` / ``key_rotate`` / ``key_delete`` / ``key_info`` ops
-  inline at accept, like ``stats``); every pool worker attaches a
-  *read-only* registry over the same journal and resolves
-  ``(tenant, name, generation)`` to a private scalar itself — key
-  material is never serialized into batch chunks.
+  The server front-end owns a *writable* registry (its admission core,
+  :mod:`repro.serve.admission`, answers the ``key_create`` /
+  ``key_rotate`` / ``key_delete`` / ``key_info`` ops, like ``stats``);
+  every pool worker attaches a *read-only* registry over the same
+  journal and resolves ``(tenant, name, generation)`` to a private
+  scalar itself — key material is never serialized into batch chunks.
 * **The journal** — an append-only NDJSON file, one line per mutation.
   Writers append with ``O_APPEND`` + fsync (single lines, atomic on
   POSIX), readers tail it from their last offset, tolerating a

@@ -24,14 +24,15 @@ at accept) gets worker-side spans recorded under that id and the id
 echoed back in the reply's ``meta.trace``, joinable into one
 end-to-end span tree by :mod:`repro.obs.assemble`.  The ``stats`` op is
 the operational telemetry endpoint: it takes no curve, is answered by
-the server front-end without queueing (so it stays reachable under
-overload), and returns queue depth, batch occupancy, shed counts and
-per-(op, curve) latency percentiles — or, with ``params.format =
-"prometheus"``, the whole metrics registry in Prometheus text
-exposition format.  Under the shard supervisor of
-:mod:`repro.serve.shard`, ``params.scope = "cluster"`` makes any one
-shard answer for the whole cluster (counters summed across the
-shards' stats board); the default ``scope = "shard"`` stays local and
+the admission core without queueing (so it stays reachable under
+overload, and the pool-free direct path gives the same answers), and
+returns queue depth, batch occupancy, shed counts and per-(op, curve)
+latency percentiles — or, with ``params.format = "prometheus"``, the
+whole metrics registry in Prometheus text exposition format.  Under
+the shard supervisor of :mod:`repro.serve.shard`, ``params.scope =
+"cluster"`` makes any one shard answer for the whole cluster (counters
+summed across the shards' stats board; an unsharded answer is a
+one-shard cluster); the default ``scope = "shard"`` stays local and
 carries the answering shard's index.  The ``stats`` result is JSON by
 default and the full Prometheus text exposition with ``params.format =
 "prometheus"`` (shard scope only; ``scope = "cluster"`` with the
@@ -80,6 +81,7 @@ from typing import Any, Dict, FrozenSet, Optional
 __all__ = [
     "CURVES",
     "ERROR_TYPES",
+    "INLINE_OPS",
     "KEY_NAME",
     "KEY_OPS",
     "OPS",
@@ -129,10 +131,14 @@ TENANT_NAME = re.compile(r"[a-z][a-z0-9_]{0,23}")
 #: dots (they never appear in metric names), up to 64 chars.
 KEY_NAME = re.compile(r"[a-z][a-z0-9_.-]{0,63}")
 
-#: The key-lifecycle ops: answered inline by the server front-end
-#: (like ``stats``), always tenant-scoped.
+#: The key-lifecycle ops: answered at admission (like ``stats``),
+#: always tenant-scoped.
 KEY_OPS: FrozenSet[str] = frozenset(
     {"key_create", "key_rotate", "key_delete", "key_info"})
+
+#: Ops answered by the admission core (:mod:`repro.serve.admission`)
+#: itself, never queued and never run by a worker handler.
+INLINE_OPS: FrozenSet[str] = KEY_OPS | {"stats"}
 
 
 class ProtocolError(ValueError):
@@ -230,15 +236,15 @@ OPS: Dict[str, OpSpec] = {spec.name: spec for spec in (
     _spec("schnorr_verify", ORDER_CURVES, ["public", "msg", "e", "s"]),
     _spec("rsa_sign", (), ["n", "e", "d", "digest"]),
     _spec("rsa_verify", (), ["n", "e", "digest", "sig"]),
-    # Operational telemetry: answered inline by the server front-end
-    # (never queued, so it works under overload); the worker handler
-    # covers the pool-free direct path.  ``scope="cluster"`` asks a
+    # Operational telemetry: answered by the admission core (never
+    # queued, so it works under overload), the same answer on a server
+    # and on the pool-free direct path.  ``scope="cluster"`` asks a
     # sharded server to aggregate across its sibling shards.
     _spec("stats", (), [], ["format", "scope"]),
     # Named-key lifecycle (repro.serve.keys): tenant-scoped, answered
-    # inline at accept like ``stats`` — mutations hit the journal, not
-    # the batch queue.  ``key_create`` takes the curve the key lives
-    # on; the others resolve it from the stored record.
+    # by the admission core like ``stats`` — mutations hit the journal,
+    # not the batch queue.  ``key_create`` takes the curve the key
+    # lives on; the others resolve it from the stored record.
     _spec("key_create", CURVES, ["name"], ["seed"]),
     _spec("key_rotate", (), ["name"], ["seed"]),
     _spec("key_delete", (), ["name"]),

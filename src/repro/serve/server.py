@@ -41,13 +41,17 @@ workers attach one shared comb-table store::
   :class:`~repro.obs.assemble.RequestTrace` and feeds the
   :class:`~repro.obs.assemble.FlightRecorder` tail-sampling ring
   (``--slowlog`` capacity, ``--slowlog-out`` Chrome-trace dump).
-* **Operational endpoint**: the ``stats`` op is answered inline at
-  accept — queue depth, batch occupancy, shed counts, per-(op, curve)
-  latency percentiles, or the full registry as Prometheus text
-  exposition (``params.format = "prometheus"``) — so telemetry stays
-  reachable even when the bounded queue is shedding.  Under the shard
-  supervisor, ``params.scope = "cluster"`` aggregates counters across
-  every shard via the shared stats board, from any one shard's socket.
+* **Admission** (:mod:`repro.serve.admission`): each line goes
+  through the sans-IO admission core the direct path shares, which
+  answers ``stats`` and the ``key_*`` ops inline, authorizes and
+  throttles tenants, and hands back an admitted copy for the queue —
+  so telemetry stays reachable even when the bounded queue is
+  shedding.  A line over :data:`~repro.serve.admission.MAX_LINE`
+  bytes is answered ``BadRequest`` and skipped to its newline; the
+  connection keeps serving.
+* **Self-healing pool**: when a worker dies the pool breaks; the next
+  dispatch rebuilds it once (``serve_pool_restarts_total``), failing
+  only the batch that was in flight with ``Internal``.
 
 ``python -m repro serve`` is this module's CLI; the in-process
 :class:`EccServer` API is what the load generator, the benchmark
@@ -65,23 +69,20 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..obs import trace as _trace
 from ..obs.assemble import FlightRecorder, RequestTrace
-from ..obs.metrics import METRICS, render_prometheus
-from ..obs.trace import new_trace_id
+from ..obs.metrics import METRICS
 from ..scalarmult.fixed_base import DEFAULT_WIDTH
 from . import protocol
+from .admission import MAX_LINE, Admission
 from .worker import execute_batch, init_worker
 
 __all__ = ["ServeConfig", "EccServer", "main"]
 
-_REQUESTS = METRICS.counter(
-    "serve_requests_total", "requests accepted off the wire")
-_BAD = METRICS.counter(
-    "serve_bad_requests_total", "lines rejected before queueing")
 _SHED = METRICS.counter(
     "serve_shed_total", "requests shed with an Overloaded reply")
 _DEADLINE = METRICS.counter(
@@ -90,6 +91,8 @@ _BATCHES = METRICS.counter(
     "serve_batches_total", "batches dispatched to the pool")
 _REPLIES = METRICS.counter(
     "serve_replies_total", "replies written back to clients")
+_POOL_RESTARTS = METRICS.counter(
+    "serve_pool_restarts_total", "worker pools rebuilt after breaking")
 _QUEUE_US = METRICS.histogram(
     "serve_queue_us", "time from enqueue to dispatch, microseconds")
 _WORKER_US = METRICS.histogram(
@@ -180,6 +183,8 @@ class EccServer:
         #: Writable named-key registry (:mod:`repro.serve.keys`); built
         #: in start() over ``config.keys_journal``.
         self.keys = None
+        #: The admission core over :attr:`keys`; built in start().
+        self.admission: Optional[Admission] = None
         self._journal_owned = False  # temp journal to unlink on stop()
 
     # -- lifecycle -----------------------------------------------------------
@@ -200,20 +205,38 @@ class EccServer:
             self._journal_owned = True
         self.keys = KeyRegistry(journal_path=cfg.keys_journal,
                                 tenants=cfg.tenants)
-        self._pool = ProcessPoolExecutor(
+        self._pool = self._new_pool()
+        self._queue = asyncio.Queue(maxsize=cfg.queue_depth)
+        self.admission = Admission(
+            self.keys, shard=cfg.shard, queue_depth=self._queue.qsize,
+            queue_capacity=cfg.queue_depth, recorder=self.recorder,
+            board=self.board, tracing=cfg.tracing)
+        self._batcher = asyncio.create_task(self._batch_loop())
+        self._server = await asyncio.start_server(
+            self._on_connection, cfg.host, cfg.port, limit=MAX_LINE,
+            reuse_port=cfg.reuse_port or None)
+        self.port = self._server.sockets[0].getsockname()[1]
+        return self
+
+    def _new_pool(self) -> ProcessPoolExecutor:
+        cfg = self.config
+        return ProcessPoolExecutor(
             max_workers=cfg.workers,
             initializer=init_worker,
             initargs=(cfg.hardened, cfg.fb_width, cfg.fixed_base,
                       tuple(cfg.warm_curves), cfg.store_name,
                       cfg.keys_journal),
         )
-        self._queue = asyncio.Queue(maxsize=cfg.queue_depth)
-        self._batcher = asyncio.create_task(self._batch_loop())
-        self._server = await asyncio.start_server(
-            self._on_connection, cfg.host, cfg.port,
-            reuse_port=cfg.reuse_port or None)
-        self.port = self._server.sockets[0].getsockname()[1]
-        return self
+
+    def _rebuild_pool(self, broken: ProcessPoolExecutor
+                      ) -> ProcessPoolExecutor:
+        """Replace the *broken* pool, once however many dispatches saw
+        it break (no await between the check and the swap)."""
+        if self._pool is broken:
+            broken.shutdown(wait=False, cancel_futures=True)
+            self._pool = self._new_pool()
+            _POOL_RESTARTS.inc()
+        return self._pool
 
     async def stop(self) -> None:
         if self._server is not None:
@@ -281,35 +304,15 @@ class EccServer:
 
         try:
             while True:
-                line = await reader.readline()
+                line, overlong = await _read_line(reader)
                 if not line:
                     break
                 if line.isspace():
                     continue
-                try:
-                    request = protocol.decode_request(line)
-                except protocol.ProtocolError as exc:
-                    _BAD.inc()
-                    req_id = self._salvage_id(line)
-                    await write_reply(protocol.error_reply(
-                        req_id, "BadRequest", str(exc)))
+                reply, request = self.admission.admit_line(line, overlong)
+                if reply is not None:
+                    await write_reply(reply)
                     continue
-                _REQUESTS.inc()
-                if request["op"] == "stats":
-                    # Telemetry is answered inline, never queued — the
-                    # whole point is reachability while overloaded.
-                    await write_reply(self._stats_reply(request))
-                    continue
-                if "tenant" in request:
-                    # Tenant-scoped: authorize + rate-quota, answer key
-                    # lifecycle ops inline (journal writes, not worker
-                    # work), pin the key generation on named use.
-                    reply = self._keys_admission(request)
-                    if reply is not None:
-                        await write_reply(reply)
-                        continue
-                if self.config.tracing and "trace" not in request:
-                    request["trace"] = new_trace_id()
                 pending = self._make_pending(request)
                 try:
                     self._queue.put_nowait(pending)
@@ -338,57 +341,6 @@ class EccServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
-
-    def _keys_admission(self, request: Dict[str, Any]
-                        ) -> Optional[Dict[str, Any]]:
-        """Admission control for tenant-scoped requests.
-
-        Authorizes the (tenant, token) pair, charges the tenant's rate
-        bucket, then either answers a ``key_*`` lifecycle op inline
-        (like ``stats`` — a journal write must not wait behind the
-        batch queue) or admits a named-key use: the key's **current
-        generation is pinned** into ``params.key_generation`` right
-        here, so a rotation landing a microsecond later cannot retire
-        the key under an in-flight batch, and the ``token`` is stripped
-        so credentials never enter the batch payload.  Returns the
-        reply to write immediately, or None for an admitted request
-        that continues to the queue.
-        """
-        op = request["op"]
-        params = request.get("params") or {}
-        try:
-            tenant = self.keys.authorize(request["tenant"],
-                                         request.get("token"))
-            METRICS.counter(
-                f"serve_tenant_{tenant.name}_requests_total").inc()
-            self.keys.throttle(tenant)
-            if op in protocol.KEY_OPS:
-                if op == "key_create":
-                    result = self.keys.create(
-                        tenant.name, params["name"], request["curve"],
-                        params.get("seed"))
-                elif op == "key_rotate":
-                    result = self.keys.rotate(tenant.name, params["name"],
-                                              params.get("seed"))
-                elif op == "key_delete":
-                    result = self.keys.delete(tenant.name, params["name"])
-                else:
-                    result = self.keys.info(tenant.name, params["name"])
-                reply = protocol.ok_reply(request["id"], result)
-            else:
-                if params.get("key_generation") is None:
-                    ref = self.keys.resolve(tenant.name, params["key"])
-                    request["params"] = dict(params,
-                                             key_generation=ref.generation)
-                request.pop("token", None)
-                return None
-        except protocol.ProtocolError as exc:
-            reply = protocol.error_reply(request["id"], exc.error_type,
-                                         str(exc))
-        trace_id = request.get("trace")
-        if trace_id is not None:
-            reply.setdefault("meta", {})["trace"] = trace_id
-        return reply
 
     def _make_pending(self, request: Dict[str, Any]) -> _Pending:
         now = time.perf_counter()
@@ -420,21 +372,6 @@ class EccServer:
             status="ok" if reply.get("ok") else
                    reply.get("error", {}).get("type", "Internal"),
         ))
-
-    @staticmethod
-    def _salvage_id(line: bytes) -> int:
-        """Best-effort id recovery so even a BadRequest reply correlates."""
-        import json
-
-        try:
-            obj = json.loads(line)
-            req_id = obj.get("id") if isinstance(obj, dict) else None
-            if isinstance(req_id, int) and not isinstance(req_id, bool) \
-                    and req_id >= 0:
-                return req_id
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            pass
-        return 0
 
     # -- batching + dispatch -------------------------------------------------
 
@@ -484,10 +421,19 @@ class EccServer:
         span = tracer.start("serve_batch", kind="serve", op=op,
                             curve=curve, batch=len(live)) if tracer else None
         t0 = time.perf_counter()
+        loop = asyncio.get_running_loop()
+        pool = self._pool
         try:
-            result = await asyncio.get_running_loop().run_in_executor(
-                self._pool, execute_batch, payload)
+            try:
+                future = loop.run_in_executor(pool, execute_batch, payload)
+            except BrokenProcessPool:
+                # The pool broke while idle: this batch never reached it.
+                pool = self._rebuild_pool(pool)
+                future = loop.run_in_executor(pool, execute_batch, payload)
+            result = await future
         except Exception as exc:
+            if isinstance(exc, BrokenProcessPool):
+                self._rebuild_pool(pool)  # only this batch was in flight
             for item in live:
                 if not item.future.done():
                     item.future.set_result(protocol.error_reply(
@@ -529,113 +475,27 @@ class EccServer:
         return {name: value for name, value in snap.items()
                 if name.startswith(("serve_", "fixed_base_"))}
 
-    def stats_result(self, params: Optional[Dict[str, Any]] = None
-                     ) -> Dict[str, Any]:
-        """The ``stats`` op's result object (protocol schema in
-        :mod:`repro.serve.protocol`): live queue/batch state plus the
-        per-(op, curve) latency percentiles, or the whole registry in
-        Prometheus text exposition with ``format="prometheus"``.
+async def _read_line(reader: asyncio.StreamReader) -> Tuple[bytes, bool]:
+    """The next request line and whether it overran :data:`MAX_LINE`.
 
-        ``scope="cluster"`` (JSON only) answers for every shard on the
-        stats board — counters summed, per-shard payloads attached —
-        so any one shard's socket serves whole-cluster telemetry."""
-        params = params or {}
-        fmt = params.get("format", "json")
-        scope = params.get("scope", "shard")
-        if scope not in ("shard", "cluster"):
-            raise protocol.ProtocolError(
-                f"stats scope must be 'shard' or 'cluster', got {scope!r}")
-        if fmt == "prometheus":
-            if scope == "cluster":
-                raise protocol.ProtocolError(
-                    "cluster scope is JSON-only; scrape each shard for "
-                    "labelled expositions")
-            self._refresh_gauges()
-            return {"format": "prometheus",
-                    "text": render_prometheus(METRICS)}
-        if fmt != "json":
-            raise protocol.ProtocolError(
-                f"stats format must be 'json' or 'prometheus', got {fmt!r}")
-        if scope == "cluster":
-            return self._cluster_stats()
-        return self._shard_payload()
-
-    def _shard_payload(self) -> Dict[str, Any]:
-        """This process's shard-scope JSON stats (also what the shard
-        runtime publishes to the stats board)."""
-        counters = {name: value
-                    for name, value in METRICS.counters_snapshot().items()
-                    if name.startswith(("serve_", "fixed_base_"))}
-        batches = counters.get("serve_batches_total", 0)
-        executed = counters.get("serve_worker_requests_total", 0)
-        return {
-            "format": "json",
-            "scope": "shard",
-            "shard": self.config.shard,
-            "pid": os.getpid(),
-            "queue_depth": self._queue.qsize() if self._queue else 0,
-            "queue_capacity": self.config.queue_depth,
-            "batch_occupancy": round(executed / batches, 3) if batches
-            else 0.0,
-            "counters": counters,
-            "histograms": METRICS.histogram_summaries(prefix="serve_"),
-            "slowlog": {"capacity": self.recorder.capacity,
-                        "size": len(self.recorder),
-                        "recorded": self.recorder.recorded},
-            "tenants": (self.keys.tenants_snapshot()
-                        if self.keys is not None else {}),
-        }
-
-    def _cluster_stats(self) -> Dict[str, Any]:
-        """Cluster-scope aggregation over the shard stats board.
-
-        Publishes this shard's own fresh payload first (so the answer
-        is never staler than the asking request), then sums counters
-        and queue state across every readable slot.  Unsharded servers
-        degrade to a one-shard cluster.  Histogram summaries are
-        per-shard only — percentile summaries do not merge — so they
-        stay inside each ``shards[i]`` payload.
-        """
-        own = self._shard_payload()
-        if self.board is None:
-            shards = [own]
-        else:
-            self.board.publish(self.config.shard or 0, own)
-            shards = self.board.read_all()
-        counters: Dict[str, float] = {}
-        for payload in shards:
-            for name, value in payload.get("counters", {}).items():
-                counters[name] = counters.get(name, 0) + value
-        return {
-            "format": "json",
-            "scope": "cluster",
-            "shard_count": len(shards),
-            "queue_depth": sum(p.get("queue_depth", 0) for p in shards),
-            "queue_capacity": sum(p.get("queue_capacity", 0)
-                                  for p in shards),
-            "counters": dict(sorted(counters.items())),
-            "shards": shards,
-        }
-
-    def _refresh_gauges(self) -> None:
-        METRICS.gauge(
-            "serve_queue_depth", "requests queued right now",
-        ).set(self._queue.qsize() if self._queue else 0)
-        METRICS.gauge(
-            "serve_slowlog_size", "traced requests held by the recorder",
-        ).set(len(self.recorder))
-
-    def _stats_reply(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    An overlong line comes back as its first chunk, with the rest
+    discarded up to and including its newline (or EOF), so the
+    connection resyncs on the next line.  ``b""`` means EOF.
+    """
+    try:
+        return await reader.readuntil(b"\n"), False
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial, False  # EOF: a last unterminated line, or b""
+    except asyncio.LimitOverrunError as exc:
+        head = await reader.readexactly(exc.consumed)
+    while True:
         try:
-            result = self.stats_result(request.get("params"))
-        except protocol.ProtocolError as exc:
-            return protocol.error_reply(request["id"], "BadRequest",
-                                        str(exc))
-        reply = protocol.ok_reply(request["id"], result)
-        trace_id = request.get("trace")
-        if trace_id is not None:
-            reply.setdefault("meta", {})["trace"] = trace_id
-        return reply
+            await reader.readuntil(b"\n")
+            return head, True
+        except asyncio.IncompleteReadError:
+            return head, True
+        except asyncio.LimitOverrunError as exc:
+            await reader.readexactly(exc.consumed)
 
 
 async def _serve_forever(config: ServeConfig) -> int:

@@ -274,7 +274,7 @@ async def _publish_loop(server: EccServer, board: Optional[StatsBoard],
         return
     while True:
         with contextlib.suppress(ValueError, IndexError):
-            board.publish(index, server._shard_payload())
+            board.publish(index, server.admission.shard_payload())
         await asyncio.sleep(PUBLISH_INTERVAL)
 
 

@@ -16,14 +16,17 @@ RFC-6979-style nonces of :mod:`repro.protocols`, and nothing reads a
 TRNG — the property the load generator's byte-stable summaries and the
 serve determinism tests rely on.
 
-All functions at module top level are picklable pool entry points;
-:func:`execute_request` doubles as the in-process "direct" execution
-path (the load generator's single-request baseline and the test
-suite's pool-free harness).
+Workers only compute: requests arrive admitted by the admission core
+(:mod:`repro.serve.admission`), which answers ``stats`` and the
+``key_*`` ops itself.  :func:`execute_batch` is the pool entry point;
+:func:`execute_request` is the in-process "direct" path (the load
+generator's baseline, the benchmark's reference, the tests' pool-free
+harness), which runs the same core over :func:`worker_keys` first.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -31,7 +34,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..curves.params import CurveSuite, make_suite
 from ..curves.point import AffinePoint
 from ..faults.model import FaultDetectedError
-from ..obs.metrics import METRICS, render_prometheus
+from ..obs.metrics import METRICS
 from ..obs.trace import Tracer, span_to_dict
 from ..protocols import Ecdsa, Rsa, RsaKeyPair, Schnorr, XOnlyEcdh
 from ..protocols.ecdh import FullPointEcdh, KeyPair
@@ -42,11 +45,13 @@ from ..scalarmult.fixed_base import (
     scalar_mult_fixed_base,
 )
 from . import protocol
+from .admission import Admission
 from .protocol import ProtocolError, from_hex, point_param, to_hex
 
 __all__ = [
     "WorkerState",
     "derive_scalar",
+    "execute_admitted",
     "execute_batch",
     "execute_request",
     "init_worker",
@@ -244,8 +249,9 @@ def worker_keys():
     generation)`` to scalars itself, tailing the journal on a lookup
     miss, so key material is never serialized into batch chunks.  On
     the pool-free direct path this lazily builds a writable in-memory
-    registry instead, which is what makes the ``key_*`` handlers below
-    work without a server front-end.
+    registry instead, in open tenancy: :func:`execute_request` runs the
+    admission core over it, so tenant auth, the rate quota and the
+    ``key_*`` ops behave as on an unsharded server.
     """
     global _KEYS
     if _KEYS is None:
@@ -278,6 +284,10 @@ def init_worker(hardened: bool = False, fb_width: int = DEFAULT_WIDTH,
     replayed state, never from secrets travelling in the batch payload.
     """
     global _STATE, _KEYS
+    # Never collect what the fork inherited: a finalizer of inherited
+    # garbage (a shut-down pool's executor, say) takes a lock that a
+    # parent thread may have held at fork time, deadlocking this worker.
+    gc.freeze()
     METRICS.reset_for_fork()
     if keys_journal is not None:
         from .keys import KeyRegistry
@@ -319,8 +329,8 @@ def _secret_scalar(curve: Optional[str], params: Dict[str, Any],
     """The op's secret scalar: inline hex, or a named-key resolution.
 
     ``params.key`` carries a stored key's name (the tenant was injected
-    into the params by :func:`execute_request`; the server pinned
-    ``key_generation`` at admission).  The scalar comes out of this
+    into the params by :func:`execute_admitted`; admission pinned
+    ``key_generation``).  The scalar comes out of this
     process's registry — it was never on the wire or in the batch
     chunk.
     """
@@ -479,79 +489,7 @@ def _handle_rsa_verify(state: WorkerState, curve: Optional[str],
     return {"valid": bool(valid)}
 
 
-def _handle_stats(state: WorkerState, curve: Optional[str],
-                  params: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker-local telemetry (the pool-free direct path's ``stats``).
-
-    A live :class:`~repro.serve.server.EccServer` intercepts ``stats``
-    at accept and answers with server-level queue/batch state; this
-    handler serves the same schema from a single process's registry so
-    ``--workers 0`` / in-process callers get a useful answer too.
-    """
-    fmt = params.get("format", "json")
-    scope = params.get("scope", "shard")
-    if scope not in ("shard", "cluster"):
-        raise ProtocolError(
-            f"stats scope must be 'shard' or 'cluster', got {scope!r}")
-    # No shard siblings on the direct path: "cluster" is this process.
-    if fmt == "prometheus":
-        return {"format": "prometheus", "text": render_prometheus(METRICS)}
-    if fmt != "json":
-        raise ProtocolError(
-            f"stats format must be 'json' or 'prometheus', got {fmt!r}")
-    return {
-        "format": "json",
-        "scope": "shard",
-        "shard": None,
-        "pid": os.getpid(),
-        "queue_depth": 0,
-        "queue_capacity": 0,
-        "batch_occupancy": 0.0,
-        "counters": {k: v for k, v in METRICS.counters_snapshot().items()
-                     if k.startswith(("serve_", "fixed_base_"))},
-        "histograms": METRICS.histogram_summaries(prefix="serve_"),
-    }
-
-
-def _handle_key_create(state: WorkerState, curve: str,
-                       params: Dict[str, Any]) -> Dict[str, Any]:
-    """Named-key lifecycle, direct-path edition.
-
-    A live :class:`~repro.serve.server.EccServer` answers the ``key_*``
-    ops inline at accept against its own writable registry (like
-    ``stats``); these handlers give the pool-free direct path the same
-    semantics against the process-local registry of
-    :func:`worker_keys`.
-    """
-    return worker_keys().create(params.get("tenant") or "",
-                                params["name"], curve,
-                                params.get("seed"))
-
-
-def _handle_key_rotate(state: WorkerState, curve: Optional[str],
-                       params: Dict[str, Any]) -> Dict[str, Any]:
-    return worker_keys().rotate(params.get("tenant") or "",
-                                params["name"], params.get("seed"))
-
-
-def _handle_key_delete(state: WorkerState, curve: Optional[str],
-                       params: Dict[str, Any]) -> Dict[str, Any]:
-    return worker_keys().delete(params.get("tenant") or "",
-                                params["name"])
-
-
-def _handle_key_info(state: WorkerState, curve: Optional[str],
-                     params: Dict[str, Any]) -> Dict[str, Any]:
-    return worker_keys().info(params.get("tenant") or "",
-                              params["name"])
-
-
 _HANDLERS: Dict[str, Callable] = {
-    "stats": _handle_stats,
-    "key_create": _handle_key_create,
-    "key_rotate": _handle_key_rotate,
-    "key_delete": _handle_key_delete,
-    "key_info": _handle_key_info,
     "keygen": _handle_keygen,
     "ecdh": _handle_ecdh,
     "scalarmult": _handle_scalarmult,
@@ -563,12 +501,26 @@ _HANDLERS: Dict[str, Callable] = {
     "rsa_verify": _handle_rsa_verify,
 }
 
-assert set(_HANDLERS) == set(protocol.OPS), "handler table drifted from OPS"
+assert set(_HANDLERS) == set(protocol.OPS) - protocol.INLINE_OPS, \
+    "handler table drifted from OPS"
 
 
 def execute_request(req: Dict[str, Any],
                     state: Optional[WorkerState] = None) -> Dict[str, Any]:
-    """Run one validated request to a reply dict (never raises)."""
+    """Run one validated request to a reply dict (never raises).
+
+    The direct path: the server's admission core over this process's
+    :func:`worker_keys` registry, then :func:`execute_admitted`.
+    """
+    reply, admitted = Admission(worker_keys()).admit(req)
+    if reply is not None:
+        return reply
+    return execute_admitted(admitted, state)
+
+
+def execute_admitted(req: Dict[str, Any],
+                     state: Optional[WorkerState] = None) -> Dict[str, Any]:
+    """Compute one admitted request to a reply dict (never raises)."""
     state = state or worker_state()
     _REQUESTS.inc()
     METRICS.counter(f"serve_worker_op_{req['op']}_total").inc()
@@ -612,7 +564,7 @@ def _execute_traced(
         with tracer.span("worker", kind="serve", trace=trace_id,
                          op=req["op"], curve=req.get("curve"),
                          pid=os.getpid()):
-            reply = execute_request(req, state)
+            reply = execute_admitted(req, state)
     return reply, [span_to_dict(root) for root in tracer.roots]
 
 
@@ -633,7 +585,7 @@ def execute_batch(requests: List[Dict[str, Any]]) -> Dict[str, Any]:
     for req in requests:
         trace_id = req.get("trace")
         if trace_id is None:
-            replies.append(execute_request(req, state))
+            replies.append(execute_admitted(req, state))
             spans.append(None)
         else:
             reply, shard = _execute_traced(req, state, trace_id)
