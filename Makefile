@@ -14,14 +14,18 @@ test-bench:
 bench:
 	$(PYTHON) -m repro bench
 
+# Reduced ISS legs, gated by the ISS floors (fast/reference and
+# trace/fast speedups); appends nothing to the committed BENCH_iss.json.
 bench-smoke:
-	$(PYTHON) -m repro bench --smoke
+	$(PYTHON) -m repro bench --smoke --output none
 
-# Fresh smoke run vs the last committed BENCH_iss.json record; exits
-# non-zero on a >30% throughput regression or a trace/fast ladder
-# speedup below TRACE_MIN_SPEEDUP (writes nothing).
+# Fresh smoke run of each suite vs the last committed record of
+# BENCH_iss.json / BENCH_serve.json; exits non-zero on a throughput
+# regression beyond the suite's tolerance (30% / 50%) or a missed floor
+# (writes nothing).
 bench-check:
 	$(PYTHON) -m repro bench --check
+	$(PYTHON) -m repro bench serve --check
 
 # Superblock trace-engine gate: the directed three-way parity suite
 # (reference vs fast vs trace — bit- and cycle-exact on every kernel),
@@ -73,9 +77,9 @@ docs-check:
 # byte-stable JSONL summary under the fixed seed (each --check runs the
 # stream twice and compares bytes) — then the admission acceptance
 # tests (direct path == server reply parity, overlong-line resync,
-# pool rebuild after a worker SIGKILL), then the serving benchmark,
-# which enforces the fixed-base (>=1.5x) and served-throughput (>=2x)
-# floors without touching the committed BENCH_serve.json.
+# pool rebuild after a worker SIGKILL), then the serve benchmark suite
+# in smoke form, which enforces every serve floor (analysis/bench.py
+# FLOORS) without touching the committed BENCH_serve.json.
 serve-smoke:
 	$(PYTHON) -m repro loadgen --workers 1 --n 200 --seed 7 --check \
 	    --out /dev/null
@@ -83,7 +87,7 @@ serve-smoke:
 	    --out /dev/null
 	$(PYTHON) -m pytest -q tests/test_serve_admission.py \
 	    -k "parity or overlong or pool_restart"
-	$(PYTHON) -m repro loadgen --bench --smoke --bench-output none
+	$(PYTHON) -m repro bench serve --smoke --output none
 
 # Scale-out gate (DESIGN.md §8 "Scale-out"): the deterministic --check
 # stream against a fresh 2-shard cluster (port-per-shard ingress,

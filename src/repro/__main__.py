@@ -5,13 +5,14 @@
     python -m repro all               # everything
     python -m repro leakage           # the timing-leakage extension report
     python -m repro table2 --source measured   # price with our kernels
-    python -m repro bench             # ISS throughput (fast vs reference)
-    python -m repro bench --smoke     # ~30 s benchmark subset
-    python -m repro bench --check     # compare fresh smoke runs (ISS and,
-                                      # when BENCH_serve.json exists,
-                                      # serving) against the last committed
-                                      # records; exits non-zero on a
-                                      # regression beyond tolerance
+    python -m repro bench             # ISS throughput (reference vs fast
+                                      # vs trace engine) -> BENCH_iss.json;
+                                      # every run enforces the suite floors
+    python -m repro bench serve       # served throughput -> BENCH_serve.json
+    python -m repro bench --smoke --output none   # reduced legs, no record
+    python -m repro bench serve --check   # fresh smoke run vs the last
+                                      # committed record + the floors;
+                                      # exits non-zero on a regression
     python -m repro profile mul --mode ise     # Fig.-1-style breakdown
     python -m repro profile ladder --format chrome --out trace.json
     python -m repro profile scalarmult --format jsonl
@@ -37,9 +38,8 @@
                                       # redirector), comb tables served
                                       # from one shared-memory store
     python -m repro loadgen --workers 1 --n 200 --seed 7 --check
-                                      # deterministic load generator;
-                                      # --bench appends BENCH_serve.json
-                                      # and enforces the speedup floors
+                                      # deterministic load generator:
+                                      # two runs, byte-identical summaries
     python -m repro loadgen --shards 2 --connections 8 --n 200
                                       # high-concurrency mode against a
                                       # fresh 2-shard cluster
@@ -66,7 +66,7 @@ from typing import Dict, List, Tuple
 #: an entry here updates the CLI help in the same change.
 SUBCOMMANDS: Dict[str, Tuple[str, str]] = {
     "bench": ("repro.analysis.bench",
-              "ISS throughput benchmarks; --check adds the serving gate"),
+              "benchmark suites (iss | serve), floor-gated"),
     "profile": ("repro.analysis.profile",
                 "engine-speed profiling and span tracing"),
     "faults": ("repro.analysis.faults",
@@ -78,7 +78,7 @@ SUBCOMMANDS: Dict[str, Tuple[str, str]] = {
     "serve": ("repro.serve.server",
               "batched ECC service over NDJSON/TCP; --shards scales out"),
     "loadgen": ("repro.serve.loadgen",
-                "deterministic load generator + serving benchmark"),
+                "deterministic load generator"),
 }
 
 

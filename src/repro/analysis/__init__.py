@@ -2,7 +2,9 @@
 
 * ``tables`` — paper-vs-measured table regeneration (``python -m repro
   table1`` …), shared by benches and examples.
-* ``bench`` — ISS throughput benchmarking (``python -m repro bench``).
+* ``bench`` — the benchmark harness (``python -m repro bench
+  [iss|serve]``): ISS throughput and served throughput, one record
+  schema, one floor table.
 * ``profile`` — engine-speed profiling + span tracing CLI
   (``python -m repro profile``), per DESIGN.md §4 "Observability".
 * ``leakage`` — the timing-leakage regularity report.
@@ -17,8 +19,9 @@
 from .bench import (
     CHECK_THRESHOLD,
     ENGINE_MIN_SPEEDUP,
+    FLOORS,
     append_record,
-    check_against_baseline,
+    check_floors,
     compare_records,
     compute_speedups,
     measure_speedup,
@@ -65,8 +68,9 @@ from .tables import (
 __all__ = [
     "CHECK_THRESHOLD",
     "ENGINE_MIN_SPEEDUP",
+    "FLOORS",
     "append_record",
-    "check_against_baseline",
+    "check_floors",
     "compare_records",
     "compute_speedups",
     "measure_speedup",

@@ -42,6 +42,7 @@ from ..curves.edwards import TwistedEdwardsCurve
 from ..curves.montgomery import MontgomeryCurve
 from ..curves.point import AffinePoint, MaybePoint
 from ..curves.weierstrass import WeierstrassCurve
+from ..field.element import FpElement
 from ..obs import trace as _trace
 from ..obs.metrics import METRICS
 from ..obs.trace import traced
@@ -159,6 +160,36 @@ class FixedBaseTable:
                 f"{table._mask} entries")
         table.rows = rows
         return table
+
+    def rebind(self, curve) -> "FixedBaseTable":
+        """This table over *curve*: the same named curve on another field
+        instance (each :class:`~repro.curves.params.CurveSuite` owns its
+        field, and elements of two field instances never mix).
+
+        Copies every entry's internal representative into *curve*'s
+        field — no counted field operation, no rebuild, no
+        ``fixed_base_tables_built`` tick — so evaluation then runs, is
+        counted, and returns points in the caller's own field.  Returns
+        ``self`` when *curve* is already the table's curve.
+        """
+        if curve is self.curve:
+            return self
+        own = self.curve.field
+        if (curve.name, type(curve.field), curve.field.p) != (
+                self.curve.name, type(own), own.p):
+            raise ValueError(
+                f"cannot rebind a {self.curve.name} table to {curve.name}")
+        field = curve.field
+
+        def move(point: Optional[AffinePoint]) -> Optional[AffinePoint]:
+            if point is None:
+                return None
+            return AffinePoint(FpElement(field, point.x.internal),
+                               FpElement(field, point.y.internal))
+
+        return FixedBaseTable.from_rows(
+            curve, move(self.base), self.width, self.bits,
+            [[move(point) for point in row] for row in self.rows])
 
     # -- construction --------------------------------------------------------
 

@@ -13,7 +13,8 @@ quotas live in :mod:`repro.serve.keys` (the ``key_create`` /
 ``key_rotate`` / ``key_delete`` / ``key_info`` ops, plus
 ``params.key`` on sign/ECDH).
 Clients live in :mod:`repro.serve.client`; the deterministic load
-generator / benchmark driver in :mod:`repro.serve.loadgen`.
+generator and its drivers in :mod:`repro.serve.loadgen` (timed and
+floor-gated by ``python -m repro bench serve``).
 """
 
 from .keys import KeyRegistry, TokenBucket, tenant_token

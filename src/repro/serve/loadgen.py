@@ -1,4 +1,4 @@
-"""Deterministic load generator + serving benchmark.
+"""Deterministic load generator: request streams and the three drivers.
 
 ``python -m repro loadgen`` builds a reproducible request stream from a
 seed and a mix spec, drives it at a server (external ``--target``, an
@@ -9,55 +9,21 @@ runs with the same seed against a correct server produce identical
 bytes.  That property is the serve determinism gate (``--check`` runs
 the stream twice against fresh servers and compares).
 
-``--bench`` switches to the serving benchmark: keygen on secp160r1
-measured through four execution paths —
+The three drivers — :func:`run_direct` (one request at a time, in
+process, no server), :func:`run_served` (an external ``--target`` or a
+fresh in-process server) and :func:`run_sharded` (a fresh N-shard
+cluster of :mod:`repro.serve.shard`) — are also the legs of the serve
+benchmark suite, ``python -m repro bench serve``
+(:mod:`repro.analysis.bench`), which times them and enforces its
+floors.
 
-* ``direct``      one request at a time, variable-base NAF
-                  double-and-add (the repository's pre-serve
-                  capability: the baseline),
-* ``fixedbase``   one request at a time through the comb tables of
-                  :mod:`repro.scalarmult.fixed_base`,
-* ``pool<N>``     the full pipeline: pipelined client, batching
-                  server, N-worker pool, fixed-base tables,
-* ``pool<N>_traced``  the widest pool with end-to-end request tracing
-                  on — its ratio to the untraced twin is the measured
-                  tracing overhead,
-
-plus the scale-out legs ``mixed/secp160r1/shard<N>``: the default
-mixed workload against a fresh N-shard cluster of
-:mod:`repro.serve.shard` (port-per-shard mode, ``4*N`` round-robin
-client connections, one worker per shard so the shard count is the
-only parallelism knob), and the tenancy legs of
-:mod:`repro.serve.keys` — ``ecdsa/secp160r1/inline_shard<N>`` vs
-``named_shard<N>`` (the same ECDSA stream with inline private scalars
-vs server-resident named keys, per shard count; their ratio is the
-named-key overhead, floored by ``REPRO_NAMED_MIN_RATIO``) and
-``ecdsa/secp160r1/quota`` (a deliberately over-budget tenant stream;
-the recorded ``named/quota_shed_fraction`` must clear
-``REPRO_QUOTA_SHED_MIN``, proving the token bucket actually sheds).
-
-``--tenants N`` switches the normal run to named-key mode: the
+``--tenants N`` switches the run to named-key mode: the
 secret-bearing ops in the mix reference per-tenant server-resident
 keys (created by a deterministic setup phase before the clock starts)
 instead of carrying inline scalars, spread round-robin over N tenants.
 
-Results append to ``BENCH_serve.json`` using the run-record schema of
-:mod:`repro.analysis.bench` (``family: "serve"``; ``ips`` is operations
-per second).  Served entries also carry a ``latency_ms`` summary
-(count/mean/p50/p95/p99 of per-request accept-to-reply latency).
-Four floors gate the run (all env-overridable):
-``pool4/direct >= SERVE_MIN_SCALING``, ``fixedbase/direct >=
-FIXED_BASE_MIN_SPEEDUP``, ``pool<N>_traced/pool<N> >=
-TRACED_MIN_RATIO`` (the tracing hot-path guard) and ``shard<N>/shard1
->= SHARD_MIN_SCALING`` — with two or more cores; a single-core host
-falls back to the ``SHARD_SINGLE_CORE_MIN`` anti-regression check,
-since parallel shards cannot outrun one shard there.  On a single-core
-host the *pool* scaling floor is carried by the fixed-base algorithmic
-win (measured ~4-5x on secp160r1), not by parallelism — by design, so
-the gate is meaningful on any CI shape.
-
-``--trace`` turns on request tracing for the normal (non-bench) run:
-every reply's trace id is joined into a cross-process span tree by
+``--trace`` turns on request tracing for the run: every reply's trace
+id is joined into a cross-process span tree by
 :mod:`repro.obs.assemble`, the merged Chrome export is schema-checked,
 and ``--slowlog PATH`` dumps the slowest trees.  ``--scrape`` pulls the
 Prometheus text exposition through the wire after the run.
@@ -67,22 +33,17 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import datetime
 import hashlib
 import json
-import os
-import platform
 import sys
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..analysis import bench
 from ..curves.params import CurveSuite, make_suite
 from ..obs.assemble import FlightRecorder, RequestTrace, assemble, \
     records_to_chrome
 from ..obs.export import validate_chrome
 from ..scalarmult import adapter_for, montgomery_ladder_x, scalar_mult_naf
-from ..scalarmult.fixed_base import TABLE_CACHE
 from . import protocol, worker
 from .client import AsyncServeClient
 from .keys import tenant_token
@@ -92,20 +53,11 @@ from .worker import WorkerState, derive_scalar, execute_request
 
 __all__ = [
     "DEFAULT_MIX",
-    "FIXED_BASE_MIN_SPEEDUP",
-    "NAMED_MIN_RATIO",
-    "QUOTA_SHED_MIN",
-    "SERVE_MIN_SCALING",
-    "SERVE_OUTPUT",
-    "SHARD_MIN_SCALING",
-    "SHARD_SINGLE_CORE_MIN",
-    "TRACED_MIN_RATIO",
     "build_key_setup",
     "build_requests",
-    "check_serve_against_baseline",
     "main",
     "parse_mix",
-    "run_bench_serve",
+    "percentile",
     "run_direct",
     "run_served",
     "run_sharded",
@@ -120,50 +72,6 @@ LOADGEN_OPS = frozenset(
 
 DEFAULT_MIX = ("keygen:secp160r1=6,ecdsa_sign:secp160r1=2,"
                "schnorr_sign:secp160r1=1,scalarmult:secp160r1=1")
-
-#: Floor on served (4-worker, batched, fixed-base) vs direct
-#: single-request throughput for keygen/secp160r1.
-SERVE_MIN_SCALING = float(os.environ.get("REPRO_SERVE_MIN_SCALING", "2.0"))
-
-#: Floor on the fixed-base comb speedup over variable-base NAF alone.
-FIXED_BASE_MIN_SPEEDUP = float(
-    os.environ.get("REPRO_FIXED_BASE_MIN_SPEEDUP", "1.5"))
-
-#: Floor on traced/untraced pool throughput: the tracing hot-path
-#: guard.  A same-run ratio (not an absolute wall-clock) so it holds on
-#: any CI shape; measured ~0.9+ locally, the floor leaves headroom for
-#: noisy shared runners.
-TRACED_MIN_RATIO = float(os.environ.get("REPRO_SERVE_TRACED_MIN", "0.70"))
-
-#: Floor on multi-shard vs one-shard throughput (same run, mixed
-#: workload) — the scale-out gate.  Only meaningful where there are
-#: cores to scale onto; see :data:`SHARD_SINGLE_CORE_MIN`.
-SHARD_MIN_SCALING = float(os.environ.get("REPRO_SHARD_MIN_SCALING", "1.5"))
-
-#: On a single-core host sharding cannot beat one shard — the gate
-#: degrades to an anti-regression check: the supervisor/redirector
-#: fan-out must not *collapse* throughput below this fraction of the
-#: one-shard figure.
-SHARD_SINGLE_CORE_MIN = float(
-    os.environ.get("REPRO_SHARD_SINGLE_CORE_MIN", "0.6"))
-
-#: Floor on named-key vs inline-key throughput at the same shard count.
-#: Named use adds admission work (auth, token bucket, generation pin)
-#: and a worker-side registry lookup, but no extra curve arithmetic —
-#: it must stay within striking distance of the inline path.
-NAMED_MIN_RATIO = float(os.environ.get("REPRO_NAMED_MIN_RATIO", "0.6"))
-
-#: Floor on the quota leg's shed fraction: a stream sized several times
-#: over its tenant's burst+rate budget must actually get the majority
-#: of itself shed with QuotaExceeded — a bucket that admits everything
-#: is a bug the throughput numbers would never catch.
-QUOTA_SHED_MIN = float(os.environ.get("REPRO_QUOTA_SHED_MIN", "0.2"))
-
-SERVE_OUTPUT = "BENCH_serve.json"
-
-#: Serve throughput wobbles more than the ISS microbenchmarks (pool
-#: startup, batching) — the regression gate is correspondingly loose.
-SERVE_CHECK_THRESHOLD = 0.50
 
 
 # -- request synthesis -------------------------------------------------------
@@ -547,7 +455,8 @@ async def run_sharded(requests: Sequence[Dict[str, Any]],
         await cluster.stop()
 
 
-def _percentile(sorted_values: Sequence[float], q: float) -> float:
+def percentile(sorted_values: Sequence[float], q: float) -> float:
+    """Nearest-rank *q*-th percentile of an ascending list (0.0 if empty)."""
     if not sorted_values:
         return 0.0
     idx = min(len(sorted_values) - 1,
@@ -562,353 +471,9 @@ def _latency_report(latencies: Sequence[float], wall: float,
     ops = n / wall if wall > 0 else 0.0
     return (f"{n} requests in {wall:.2f} s ({ops:.1f} ops/s), "
             f"{n_err} errors; latency ms "
-            f"p50={_percentile(ordered, 50):.1f} "
-            f"p95={_percentile(ordered, 95):.1f} "
-            f"p99={_percentile(ordered, 99):.1f}")
-
-
-def _latency_summary(latencies: Sequence[float]) -> Dict[str, float]:
-    """Per-request latency histogram summary for a bench entry (ms)."""
-    ordered = sorted(latencies)
-    n = len(ordered)
-    return {"count": n,
-            "mean": sum(ordered) / n if n else 0.0,
-            "p50": _percentile(ordered, 50),
-            "p95": _percentile(ordered, 95),
-            "p99": _percentile(ordered, 99)}
-
-
-# -- serving benchmark -------------------------------------------------------
-
-
-def _bench_entry(engine: str, n: int, wall: float,
-                 latencies: Optional[Sequence[float]] = None,
-                 kernel: str = "keygen") -> Dict[str, Any]:
-    entry = {
-        "name": f"{kernel}/secp160r1/{engine}",
-        "family": "serve",
-        "kernel": kernel,
-        "mode": "secp160r1",
-        "engine": engine,
-        "reps": n,
-        "instructions": 1,  # one keygen per rep; ips is ops per second
-        "cycles_per_run": 0,
-        "wall_s": wall,
-        "ips": n / wall if wall > 0 else 0.0,
-    }
-    if latencies:
-        entry["latency_ms"] = _latency_summary(latencies)
-    return entry
-
-
-def _assert_all_ok(replies: Sequence[Dict[str, Any]], what: str) -> None:
-    errors = [r for r in replies if not r["ok"]]
-    if errors:
-        raise RuntimeError(
-            f"{what}: {len(errors)} error replies, first: "
-            f"{errors[0]['error']}")
-
-
-def run_bench_serve(n: Optional[int] = None, smoke: bool = False,
-                    pools: Sequence[int] = (1, 2, 4),
-                    shard_counts: Optional[Sequence[int]] = None,
-                    label: Optional[str] = None) -> Dict[str, Any]:
-    """Measure the serving execution paths; return a schema-1 run record.
-
-    Covers the single-server paths (direct / fixedbase / pool<N> /
-    traced) on a keygen stream, then the shard-scaling legs
-    (``mixed/secp160r1/shard<N>``): the DEFAULT_MIX workload against a
-    fresh N-shard cluster in deterministic port-per-shard mode, with
-    ``4 * N`` client connections.  Raises ``RuntimeError`` on any error
-    reply.  Floor checking is the caller's job (:func:`main` gates on
-    the record's speedups).
-    """
-    if n is None:
-        n = 8 if smoke else 24
-    if shard_counts is None:
-        shard_counts = (1, 2) if smoke else (1, 2, 4)
-    requests = build_requests(n, mix="keygen:secp160r1=1", seed=1601)
-    # Warm the parent's comb table before any pool exists: forked
-    # workers inherit it copy-on-write and skip the per-worker build.
-    suite = make_suite("secp160r1")
-    TABLE_CACHE.get(suite.curve, suite.base)
-
-    entries: List[Dict[str, Any]] = []
-    replies, wall = run_direct(requests, fixed_base=False)
-    _assert_all_ok(replies, "direct")
-    entries.append(_bench_entry("direct", n, wall))
-
-    replies, wall = run_direct(requests, fixed_base=True)
-    _assert_all_ok(replies, "fixedbase")
-    entries.append(_bench_entry("fixedbase", n, wall))
-
-    for workers in pools:
-        replies, lat, wall = asyncio.run(
-            run_served(requests, workers=workers))
-        _assert_all_ok(replies, f"pool{workers}")
-        entries.append(_bench_entry(f"pool{workers}", n, wall, lat))
-
-    # Tracing-overhead leg: the widest pool again, with per-request
-    # tracing on.  Its ratio to the untraced twin is the measured
-    # overhead, floor-checked by check_floors.
-    traced_workers = max(pools) if pools else 1
-    replies, lat, wall = asyncio.run(
-        run_served(requests, workers=traced_workers, tracing=True))
-    _assert_all_ok(replies, f"pool{traced_workers}_traced")
-    entries.append(_bench_entry(f"pool{traced_workers}_traced", n, wall, lat))
-
-    direct_ips = entries[0]["ips"]
-    speedups = {
-        f"keygen/secp160r1/{e['engine']}:direct": e["ips"] / direct_ips
-        for e in entries[1:]
-    }
-    untraced = next(e for e in entries
-                    if e["engine"] == f"pool{traced_workers}")
-    speedups[f"keygen/secp160r1/pool{traced_workers}_traced:"
-             f"pool{traced_workers}"] = (
-        entries[-1]["ips"] / untraced["ips"] if untraced["ips"] else 0.0)
-
-    # Shard-scaling legs: the mixed workload against fresh N-shard
-    # clusters, port-per-shard + client round-robin for deterministic
-    # placement, one worker per shard so the shard count is the only
-    # parallelism knob.
-    n_shard = 24 if smoke else 60
-    shard_requests = build_requests(n_shard, mix=DEFAULT_MIX, seed=1602)
-    shard_ips: Dict[int, float] = {}
-    for count in shard_counts:
-        replies, lat, wall = asyncio.run(run_sharded(
-            shard_requests, shards=count, workers=1,
-            connections=4 * count))
-        _assert_all_ok(replies, f"shard{count}")
-        entry = _bench_entry(f"shard{count}", n_shard, wall, lat,
-                             kernel="mixed")
-        entries.append(entry)
-        shard_ips[count] = entry["ips"]
-    base_count = min(shard_counts) if shard_counts else None
-    if base_count is not None and shard_ips.get(base_count):
-        for count in shard_counts:
-            if count == base_count:
-                continue
-            speedups[f"mixed/secp160r1/shard{count}:shard{base_count}"] = (
-                shard_ips[count] / shard_ips[base_count])
-
-    # Tenancy legs (repro.serve.keys): the same ECDSA stream through a
-    # fresh cluster twice per shard count — inline private scalars vs
-    # server-resident named keys over two tenants (setup through shard
-    # 0; resolution everywhere else rides the shared journal).  Their
-    # ratio is the full cost of auth + token bucket + generation pin +
-    # worker-side key resolution.
-    n_sign = 12 if smoke else 24
-    sign_mix = "ecdsa_sign:secp160r1=1"
-    inline_requests = build_requests(n_sign, mix=sign_mix, seed=1603)
-    named_requests = build_requests(n_sign, mix=sign_mix, seed=1603,
-                                    tenants=2)
-    named_setup = build_key_setup(2, sign_mix, seed=1603)
-    for count in (1, 2):
-        replies, lat, wall = asyncio.run(run_sharded(
-            inline_requests, shards=count, workers=1,
-            connections=4 * count))
-        _assert_all_ok(replies, f"inline_shard{count}")
-        inline = _bench_entry(f"inline_shard{count}", n_sign, wall, lat,
-                              kernel="ecdsa")
-        entries.append(inline)
-        replies, lat, wall = asyncio.run(run_sharded(
-            named_requests, shards=count, workers=1,
-            connections=4 * count, setup=named_setup))
-        _assert_all_ok(replies, f"named_shard{count}")
-        named = _bench_entry(f"named_shard{count}", n_sign, wall, lat,
-                             kernel="ecdsa")
-        entries.append(named)
-        if inline["ips"]:
-            speedups[f"ecdsa/secp160r1/named_shard{count}:"
-                     f"inline_shard{count}"] = named["ips"] / inline["ips"]
-
-    # Quota-shed leg: one tenant with a deliberately tiny budget (burst
-    # 8, 25/s) under an open-loop stream several times that size.  The
-    # token bucket must shed the overflow with typed QuotaExceeded
-    # replies — anything else (Overloaded, errors) fails the run, and
-    # the recorded shed fraction is floor-checked.
-    n_quota = 40
-    quota_requests = build_requests(n_quota, mix=sign_mix, seed=1604,
-                                    tenants=1)
-    quota_setup = build_key_setup(1, sign_mix, seed=1604)
-    quota_config = {"t0": {"rate": 25.0, "burst": 8}}
-    replies, lat, wall = asyncio.run(run_served(
-        quota_requests, workers=1, setup=quota_setup,
-        tenants_config=quota_config))
-    shed = sum(1 for r in replies if not r["ok"]
-               and r["error"]["type"] == "QuotaExceeded")
-    stray = [r for r in replies if not r["ok"]
-             and r["error"]["type"] != "QuotaExceeded"]
-    if stray:
-        raise RuntimeError(
-            f"quota leg: {len(stray)} non-QuotaExceeded errors, first: "
-            f"{stray[0]['error']}")
-    entries.append(_bench_entry("quota", n_quota, wall, lat,
-                                kernel="ecdsa"))
-    speedups["named/quota_shed_fraction"] = shed / n_quota
-
-    record = {
-        "schema": 1,
-        "timestamp": datetime.datetime.now(
-            datetime.timezone.utc).isoformat(timespec="seconds"),
-        "label": label or ("serve-smoke" if smoke else "serve"),
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "jobs": max(pools) if pools else 1,
-        "entries": entries,
-        "speedups": speedups,
-    }
-    bench.validate_run_record(record)
-    return record
-
-
-def render_serve(record: Dict[str, Any]) -> str:
-    lines = [f"serving throughput ({record['label']}; keygen legs "
-             f"n={record['entries'][0]['reps']}, shard legs run the "
-             "default mixed workload)", ""]
-    lines.append(f"{'path':<28}{'reps':>6}{'wall s':>9}{'ops/s':>10}")
-    lines.append("-" * 53)
-    for entry in record["entries"]:
-        lines.append(f"{entry['name']:<28}{entry['reps']:>6}"
-                     f"{entry['wall_s']:>9.2f}{entry['ips']:>10.1f}")
-    lines.append("")
-    lines.append("speedups (vs the direct path; shardN vs one shard):")
-    for key in sorted(record["speedups"]):
-        lines.append(f"  {key:<40}{record['speedups'][key]:>6.2f}x")
-    return "\n".join(lines)
-
-
-def check_floors(record: Dict[str, Any],
-                 scaling_floor: float = SERVE_MIN_SCALING,
-                 fixed_base_floor: float = FIXED_BASE_MIN_SPEEDUP,
-                 traced_floor: float = TRACED_MIN_RATIO,
-                 shard_floor: float = SHARD_MIN_SCALING,
-                 cpus: Optional[int] = None) -> int:
-    """Enforce the serve speedup floors; returns a shell exit code.
-
-    The shard floor compares multi-shard to one-shard throughput from
-    the same run and needs cores to be meaningful: with ``cpus`` (or
-    ``os.cpu_count()``) below 2, it degrades to the
-    :data:`SHARD_SINGLE_CORE_MIN` anti-regression check instead.
-    Records without shard legs (pre-scale-out history) skip the gate.
-    """
-    speedups = record["speedups"]
-    failed = False
-    fb = speedups.get("keygen/secp160r1/fixedbase:direct", 0.0)
-    if fb < fixed_base_floor:
-        print(f"FAIL: fixed-base speedup {fb:.2f}x is below the "
-              f"{fixed_base_floor:.2f}x floor")
-        failed = True
-    pool_keys = [k for k in speedups
-                 if "/pool" in k and k.endswith(":direct")
-                 and "_traced" not in k]
-    best_key = max(pool_keys, key=lambda k: speedups[k], default=None)
-    if best_key is None or speedups[best_key] < scaling_floor:
-        got = speedups.get(best_key, 0.0) if best_key else 0.0
-        print(f"FAIL: served throughput scaling {got:.2f}x is below the "
-              f"{scaling_floor:.2f}x floor")
-        failed = True
-    # The tracing hot-path guard: traced throughput as a fraction of
-    # its untraced twin, from the same run.
-    for key in sorted(k for k in speedups if "_traced:pool" in k):
-        ratio = speedups[key]
-        if ratio < traced_floor:
-            print(f"FAIL: traced/untraced throughput ratio {ratio:.2f} "
-                  f"({key}) is below the {traced_floor:.2f} floor")
-            failed = True
-    # The scale-out gate: best multi-shard/one-shard ratio.
-    shard_keys = [k for k in speedups
-                  if k.startswith("mixed/secp160r1/shard")
-                  and ":shard" in k]
-    shard_note = ""
-    if shard_keys:
-        if cpus is None:
-            cpus = os.cpu_count() or 1
-        best_shard = max(speedups[k] for k in shard_keys)
-        if cpus >= 2:
-            if best_shard < shard_floor:
-                print(f"FAIL: shard scaling {best_shard:.2f}x is below "
-                      f"the {shard_floor:.2f}x floor ({cpus} cpus)")
-                failed = True
-            shard_note = (f", shards {best_shard:.2f}x >= "
-                          f"{shard_floor:.2f}x")
-        else:
-            # One core: parallel shards cannot outrun one shard; only
-            # guard against the fan-out collapsing throughput.
-            if best_shard < SHARD_SINGLE_CORE_MIN:
-                print(f"FAIL: single-core shard throughput ratio "
-                      f"{best_shard:.2f} is below the "
-                      f"{SHARD_SINGLE_CORE_MIN:.2f} anti-regression floor")
-                failed = True
-            shard_note = (f", shards {best_shard:.2f}x >= "
-                          f"{SHARD_SINGLE_CORE_MIN:.2f}x "
-                          "(single-core fallback)")
-    # The named-key overhead gate: named/inline throughput per shard
-    # count must stay above NAMED_MIN_RATIO.  Records predating the key
-    # subsystem carry no such entries and skip the gate.
-    named_note = ""
-    named_keys = [k for k in speedups
-                  if "/named_shard" in k and ":inline_shard" in k]
-    if named_keys:
-        worst_key = min(named_keys, key=lambda k: speedups[k])
-        worst = speedups[worst_key]
-        if worst < NAMED_MIN_RATIO:
-            print(f"FAIL: named/inline throughput ratio {worst:.2f} "
-                  f"({worst_key}) is below the {NAMED_MIN_RATIO:.2f} "
-                  "floor")
-            failed = True
-        named_note = f", named {worst:.2f} >= {NAMED_MIN_RATIO:.2f}"
-    quota = speedups.get("named/quota_shed_fraction")
-    if quota is not None:
-        if quota < QUOTA_SHED_MIN:
-            print(f"FAIL: quota shed fraction {quota:.2f} is below the "
-                  f"{QUOTA_SHED_MIN:.2f} floor (the token bucket is not "
-                  "shedding)")
-            failed = True
-        named_note += f", quota shed {quota:.2f} >= {QUOTA_SHED_MIN:.2f}"
-    if not failed:
-        print(f"OK: fixed-base {fb:.2f}x >= {fixed_base_floor:.2f}x, "
-              f"served {speedups[best_key]:.2f}x >= {scaling_floor:.2f}x, "
-              f"traced ratio floors hold{shard_note}{named_note}")
-    return 1 if failed else 0
-
-
-def check_serve_against_baseline(path: str = SERVE_OUTPUT,
-                                 threshold: float = SERVE_CHECK_THRESHOLD
-                                 ) -> int:
-    """Fresh smoke serve-bench vs the last committed BENCH_serve.json
-    record (read-only; called from ``python -m repro bench --check``)."""
-    if not os.path.exists(path):
-        print(f"serve --check: no baseline at {path}; skipping")
-        return 0
-    with open(path, "r", encoding="utf-8") as fh:
-        records = json.load(fh)
-    if not isinstance(records, list) or not records:
-        print(f"serve --check: {path} holds no run records")
-        return 1
-    baseline = records[-1]
-    bench.validate_run_record(baseline)
-    fresh = run_bench_serve(smoke=True, label="check")
-    rows = bench.compare_records(fresh, baseline, threshold)
-    if not rows:
-        print("serve --check: no overlapping entries with the baseline")
-        return 1
-    print(f"serve --check vs {baseline['label']} run of "
-          f"{baseline['timestamp']} (tolerance -{threshold:.0%})\n")
-    print(f"{'path':<28}{'baseline ops/s':>15}{'fresh ops/s':>13}"
-          f"{'ratio':>8}")
-    print("-" * 64)
-    failed = False
-    for row in rows:
-        flag = "  REGRESSED" if row["regressed"] else ""
-        failed = failed or row["regressed"]
-        print(f"{row['name']:<28}{row['baseline_ips']:>15.1f}"
-              f"{row['fresh_ips']:>13.1f}{row['ratio']:>8.2f}{flag}")
-    print()
-    print("FAIL: serving throughput regressed beyond tolerance" if failed
-          else "OK: serving throughput within tolerance")
-    return 1 if failed else 0
+            f"p50={percentile(ordered, 50):.1f} "
+            f"p95={percentile(ordered, 95):.1f} "
+            f"p99={percentile(ordered, 99):.1f}")
 
 
 # -- trace reporting ---------------------------------------------------------
@@ -965,8 +530,7 @@ def _parse_target(text: str) -> Tuple[str, int]:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro loadgen",
-        description="Deterministic ECC-service load generator and "
-                    "serving benchmark.",
+        description="Deterministic ECC-service load generator.",
     )
     parser.add_argument("--target", type=_parse_target, default=None,
                         help="host:port of a running server (default: "
@@ -1007,25 +571,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="determinism gate: run the stream twice "
                              "against fresh servers, require zero errors "
                              "and identical summary bytes")
-    parser.add_argument("--bench", action="store_true",
-                        help="serving benchmark (direct / fixedbase / "
-                             "pool1 / pool2 / pool4 on keygen/secp160r1, "
-                             "shard1 / shard2 / shard4 clusters on the "
-                             "mixed workload, named-key vs inline ECDSA "
-                             "legs and a quota-shed leg); appends to "
-                             "BENCH_serve.json and enforces the speedup "
-                             "floors")
-    parser.add_argument("--bench-output", default=SERVE_OUTPUT,
-                        help="run-record file for --bench (default "
-                             f"{SERVE_OUTPUT}; 'none' disables writing)")
-    parser.add_argument("--smoke", action="store_true",
-                        help="with --bench: smaller rep count")
     parser.add_argument("--no-fixed-base", action="store_true",
                         help="disable fixed-base tables on the in-process "
                              "server / direct path")
     parser.add_argument("--batch-max", type=int, default=16)
-    parser.add_argument("--label", default=None,
-                        help="free-form label stored in the bench record")
     parser.add_argument("--trace", action="store_true",
                         help="end-to-end request tracing: stamp every "
                              "request, join the cross-process span trees "
@@ -1039,16 +588,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "exposition through the wire after the run "
                              "and print it to stdout")
     args = parser.parse_args(argv)
-
-    if args.bench:
-        record = run_bench_serve(smoke=args.smoke, label=args.label)
-        print(render_serve(record))
-        print()
-        status = check_floors(record)
-        if args.bench_output != "none":
-            bench.append_record(record, args.bench_output)
-            print(f"appended run record to {args.bench_output}")
-        return status
 
     if args.duration is not None:
         if args.rate <= 0:

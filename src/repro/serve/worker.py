@@ -42,7 +42,7 @@ from ..scalarmult import adapter_for, montgomery_ladder_x, scalar_mult_naf
 from ..scalarmult.fixed_base import (
     DEFAULT_WIDTH,
     TABLE_CACHE,
-    scalar_mult_fixed_base,
+    FixedBaseTable,
 )
 from . import protocol
 from .admission import Admission
@@ -99,46 +99,34 @@ class WorkerState:
         self._suites: Dict[str, CurveSuite] = {}
         self._protos: Dict[Any, Any] = {}
         self._rsa: Dict[int, Rsa] = {}
-        #: Field instances whose op counters this worker owns a share of,
-        #: keyed by object identity with the baseline seen at first
-        #: sight.  Suites created here start at a zero baseline; a comb
-        #: table inherited copy-on-write from the parent process carries
-        #: the parent's historical tallies on *its* field, so its
-        #: baseline is captured at adoption time — this worker reports
-        #: only ops it performed itself.
-        self._fields: Dict[int, Any] = {}
-        self._field_baselines: Dict[int, Dict[str, int]] = {}
+        #: Comb tables over this state's own suites, by curve key.
+        self._tables: Dict[str, FixedBaseTable] = {}
         self._field_reported: Dict[str, int] = {}
 
     # -- lazy construction ---------------------------------------------------
-
-    def _track_field(self, field, fresh: bool = False) -> None:
-        fid = id(field)
-        if fid in self._fields:
-            return
-        self._fields[fid] = field
-        snap = field.counter.snapshot()
-        self._field_baselines[fid] = (
-            dict.fromkeys(self._FIELD_OPS, 0) if fresh
-            else {op: snap[op] for op in self._FIELD_OPS})
 
     def suite(self, key: str) -> CurveSuite:
         suite = self._suites.get(key)
         if suite is None:
             suite = self._suites[key] = make_suite(key)
-            self._track_field(suite.field, fresh=True)
         return suite
 
-    def fixed_table(self, key: str):
-        """The comb table for *key*'s base point (cached process-wide).
+    def fixed_table(self, key: str) -> FixedBaseTable:
+        """The comb table for *key*'s base point, over this state's own
+        suite.
 
-        May hand back a table built by another process's suite (fork
-        inheritance); its field is adopted into the op accounting at its
-        current counter value.
+        The process-wide cache may hold a table built over another
+        suite's field (a second state in this process, or the parent
+        before a fork); it is rebound into this suite's field — copied,
+        never rebuilt — so results mix with this state's points and its
+        field ops count on this state's fields.
         """
-        suite = self.suite(key)
-        table = TABLE_CACHE.get(suite.curve, suite.base, width=self.fb_width)
-        self._track_field(table.curve.field)
+        table = self._tables.get(key)
+        if table is None:
+            suite = self.suite(key)
+            table = self._tables[key] = TABLE_CACHE.get(
+                suite.curve, suite.base, width=self.fb_width,
+            ).rebind(suite.curve)
         return table
 
     def warm(self, curves) -> None:
@@ -212,17 +200,16 @@ class WorkerState:
     _FIELD_OPS = ("add", "sub", "mul", "sqr", "inv")
 
     def field_ops_delta(self) -> Dict[str, int]:
-        """Field-op tallies accrued across this process's tracked fields
-        since the previous call (counters are per-field-instance and
-        therefore already fork-isolated; each field's adoption baseline
-        strips any history it carried in from the parent; this folds the
-        rest into one process-level number per op)."""
+        """Field-op tallies accrued across this state's suite fields since
+        the previous call (counters are per-field-instance, and every
+        suite — comb tables included — is this state's own, so they are
+        already fork-isolated; this folds them into one process-level
+        number per op)."""
         totals = dict.fromkeys(self._FIELD_OPS, 0)
-        for fid, field in self._fields.items():
-            snap = field.counter.snapshot()
-            base = self._field_baselines[fid]
+        for suite in self._suites.values():
+            snap = suite.field.counter.snapshot()
             for op in self._FIELD_OPS:
-                totals[op] += snap[op] - base[op]
+                totals[op] += snap[op]
         delta = {op: totals[op] - self._field_reported.get(op, 0)
                  for op in self._FIELD_OPS}
         self._field_reported = totals

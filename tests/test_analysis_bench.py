@@ -1,4 +1,5 @@
-"""The parallel benchmark harness: schema, wiring and the speedup floor."""
+"""The benchmark harness: schema, wiring, the floor table and the
+baseline check."""
 
 import json
 import os
@@ -10,14 +11,18 @@ from repro.analysis.bench import (
     CHECK_THRESHOLD,
     DEFAULT_OUTPUT,
     ENGINE_MIN_SPEEDUP,
+    FLOORS,
+    SUITES,
     append_record,
-    bench_worker,
-    check_against_baseline,
+    check,
+    check_floors,
     compare_records,
     compute_speedups,
+    main,
     measure_speedup,
     render,
     run_bench,
+    run_leg,
     validate_entry,
     validate_run_record,
 )
@@ -35,6 +40,10 @@ def _entry(**overrides):
     }
     entry.update(overrides)
     return entry
+
+
+#: ISS speedups that hold every ISS floor.
+_PASSING = {"opf_mul_mac/ISE": 10.0, "ladder_xz/ISE/trace_vs_fast": 3.5}
 
 
 def _record(**overrides):
@@ -169,7 +178,7 @@ class TestRegressionCheck:
         assert not rows[0]["regressed"]
 
     def test_missing_baseline_fails(self, tmp_path, capsys):
-        rc = check_against_baseline(str(tmp_path / "missing.json"))
+        rc = check("iss", str(tmp_path / "missing.json"))
         assert rc == 1
         assert "no baseline" in capsys.readouterr().out
 
@@ -183,8 +192,9 @@ class TestRegressionCheck:
         path = self._baseline_file(tmp_path)
         monkeypatch.setattr(
             bench_mod, "run_bench",
-            lambda **kw: _record(entries=[_entry(ips=600000.0)]))
-        assert check_against_baseline(path) == 0
+            lambda **kw: _record(entries=[_entry(ips=600000.0)],
+                                 speedups=_PASSING))
+        assert check("iss", path) == 0
         assert "OK" in capsys.readouterr().out
 
     def test_check_fails_on_regression(self, tmp_path, monkeypatch,
@@ -192,8 +202,9 @@ class TestRegressionCheck:
         path = self._baseline_file(tmp_path)
         monkeypatch.setattr(
             bench_mod, "run_bench",
-            lambda **kw: _record(entries=[_entry(ips=100000.0)]))
-        assert check_against_baseline(path) == 1
+            lambda **kw: _record(entries=[_entry(ips=100000.0)],
+                                 speedups=_PASSING))
+        assert check("iss", path) == 1
         assert "REGRESSED" in capsys.readouterr().out
 
     def test_check_fails_without_overlap(self, tmp_path, monkeypatch,
@@ -203,8 +214,8 @@ class TestRegressionCheck:
             bench_mod, "run_bench",
             lambda **kw: _record(entries=[
                 _entry(name="opf_add/CA/fast", kernel="opf_add",
-                       mode="CA")]))
-        assert check_against_baseline(path) == 1
+                       mode="CA")], speedups=_PASSING))
+        assert check("iss", path) == 1
         assert "no overlapping" in capsys.readouterr().out
 
     def test_check_never_writes_the_record_file(self, tmp_path,
@@ -213,9 +224,40 @@ class TestRegressionCheck:
         before = open(path).read()
         monkeypatch.setattr(
             bench_mod, "run_bench",
-            lambda **kw: _record(entries=[_entry(ips=600000.0)]))
-        check_against_baseline(path)
+            lambda **kw: _record(entries=[_entry(ips=600000.0)],
+                                 speedups=_PASSING))
+        check("iss", path)
         assert open(path).read() == before
+
+    def test_check_fails_on_a_missed_floor(self, tmp_path, monkeypatch,
+                                           capsys):
+        """Within tolerance of the baseline is not enough: the fresh run
+        must also hold the suite's floors."""
+        path = self._baseline_file(tmp_path)
+        monkeypatch.setattr(
+            bench_mod, "run_bench",
+            lambda **kw: _record(entries=[_entry(ips=600000.0)], speedups={
+                **_PASSING, "ladder_xz/ISE/trace_vs_fast": 2.0}))
+        assert check("iss", path) == 1
+        out = capsys.readouterr().out
+        assert "OK: throughput within tolerance" in out
+        assert "FAIL  trace/fast ladder speedup 2.00" in out
+
+    def test_serve_suite_uses_its_own_tolerance(self, tmp_path,
+                                                monkeypatch, capsys):
+        serve = dict(_entry(), name="keygen/secp160r1/pool4",
+                     family="serve", kernel="keygen", mode="secp160r1",
+                     engine="pool4", instructions=1, cycles_per_run=0,
+                     ips=100.0)
+        path = self._baseline_file(tmp_path, entries=[serve])
+        floors = {"keygen/secp160r1/fixedbase:direct": 4.0,
+                  "keygen/secp160r1/pool4:direct": 4.0}
+        monkeypatch.setattr(
+            bench_mod, "run_bench_serve",
+            lambda **kw: _record(entries=[dict(serve, ips=60.0)],
+                                 speedups=floors))
+        assert check("serve", path) == 0   # -40%: inside serve's 50%
+        assert "tolerance -50%" in capsys.readouterr().out
 
 
 class TestLiveThroughput:
@@ -230,8 +272,8 @@ class TestLiveThroughput:
                 "mode": Mode.ISE.value}
         best = 0.0
         for _ in range(3):
-            fast = bench_worker({**spec, "engine": "fast", "reps": 60})
-            ref = bench_worker({**spec, "engine": "reference", "reps": 6})
+            fast = run_leg({**spec, "engine": "fast", "reps": 60})
+            ref = run_leg({**spec, "engine": "reference", "reps": 6})
             validate_entry(fast)
             validate_entry(ref)
             # Cross-engine determinism: identical per-run work.
@@ -244,21 +286,93 @@ class TestLiveThroughput:
         )
 
 
+class TestFloorTable:
+    def test_every_floor_and_tolerance_is_pinned(self):
+        """The floors and tolerances as documented (EXPERIMENTS.md,
+        DESIGN.md §8): changing one is a deliberate, reviewed act."""
+        pinned = {(row.suite, row.what, row.cores): row.floor
+                  for row in FLOORS}
+        assert pinned == {
+            ("iss", "fast/reference speedup", "any"): 3.0,
+            ("iss", "trace/fast ladder speedup", "any"): 2.5,
+            ("serve", "fixed-base speedup", "any"): 1.5,
+            ("serve", "served throughput scaling", "any"): 2.0,
+            ("serve", "traced/untraced throughput ratio", "any"): 0.70,
+            ("serve", "shard scaling", "multi"): 1.5,
+            ("serve", "single-core shard anti-regression ratio",
+             "single"): 0.6,
+            ("serve", "named/inline throughput ratio", "any"): 0.6,
+            ("serve", "quota shed fraction", "any"): 0.2,
+        }
+        assert ENGINE_MIN_SPEEDUP == 3.0
+        assert SUITES["iss"].tolerance == CHECK_THRESHOLD == 0.30
+        assert SUITES["serve"].tolerance == 0.50
+
+    def test_iss_floors_required(self, capsys):
+        assert check_floors(_record(speedups=_PASSING)) == 0
+        assert check_floors(_record()) == 1
+        assert "no opf_mul_mac/ISE in the record" in capsys.readouterr().out
+
+    def test_iss_fast_engine_floor_enforced(self, capsys):
+        record = _record(speedups={**_PASSING, "opf_mul_mac/ISE": 2.9})
+        assert check_floors(record) == 1
+        assert "FAIL  fast/reference speedup 2.90" in capsys.readouterr().out
+
+
+class TestCli:
+    def _patch(self, monkeypatch, calls, speedups=_PASSING):
+        def fake(**kw):
+            calls.append(kw)
+            return _record(speedups=speedups)
+        monkeypatch.setattr(bench_mod, "run_bench", fake)
+        monkeypatch.setattr(bench_mod, "run_bench_serve", fake)
+
+    def test_default_suite_is_iss_and_output_none_writes_nothing(
+            self, tmp_path, monkeypatch, capsys):
+        calls = []
+        self._patch(monkeypatch, calls)
+        monkeypatch.chdir(tmp_path)
+        assert main(["--smoke", "--output", "none"]) == 0
+        assert calls == [{"smoke": True, "label": None}]
+        assert list(tmp_path.iterdir()) == []
+        assert "OK: every iss floor holds" in capsys.readouterr().out
+
+    def test_floor_miss_exits_nonzero_and_still_records(self, tmp_path,
+                                                        monkeypatch):
+        calls = []
+        self._patch(monkeypatch, calls, speedups={})
+        path = tmp_path / "bench.json"
+        assert main(["--output", str(path), "--label", "x"]) == 1
+        assert json.loads(path.read_text())[0]["label"] == "test"
+        assert calls == [{"smoke": False, "label": "x"}]
+
+    def test_serve_suite_selected_positionally(self, monkeypatch, capsys):
+        calls = []
+        self._patch(monkeypatch, calls, speedups={
+            "keygen/secp160r1/fixedbase:direct": 4.0,
+            "keygen/secp160r1/pool2:direct": 3.0})
+        assert main(["serve", "--smoke", "--output", "none"]) == 0
+        assert "OK: every serve floor holds" in capsys.readouterr().out
+
+    def test_unknown_suite_rejected(self):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["turbo"])
+        assert exc_info.value.code == 2
+
+
 @pytest.mark.bench
 class TestBenchSmoke:
     """Opt-in (--run-bench): the real harness end to end, ~30 s."""
 
     def test_smoke_run_produces_valid_record(self, tmp_path):
-        record = run_bench(smoke=True, jobs=1)
+        record = run_bench(smoke=True)
         validate_run_record(record)
         assert record["label"] == "smoke"
+        assert record["jobs"] == 1
         assert "opf_mul_mac/ISE" in record["speedups"]
         assert record["speedups"]["opf_mul_mac/ISE"] >= ENGINE_MIN_SPEEDUP
         path = str(tmp_path / "smoke.json")
         append_record(record, path)
-        assert "fast-engine speedup" in render(record)
-
-    def test_parallel_jobs_path(self):
-        record = run_bench(smoke=True, jobs=2)
-        validate_run_record(record)
-        assert record["jobs"] == 2
+        text = render(record)
+        assert text.startswith("iss benchmark (smoke")
+        assert "speedups:" in text and "opf_mul_mac/ISE" in text

@@ -148,3 +148,68 @@ class TestCache:
         assert stats["tables"] == 1
         assert stats["ram_bytes"] == cache.ram_bytes
         assert stats["budget_bytes"] == cache.budget_bytes
+
+
+class TestRebind:
+    """A table cached over one suite's field serves another suite of the
+    same curve through a copy in that suite's own field."""
+
+    def test_rebind_copies_into_the_callers_field(self, suites, tables):
+        from repro.obs.metrics import METRICS
+
+        key = "weierstrass"
+        table = tables[key]
+        other = make_suite(key)
+        assert table.rebind(table.curve) is table
+        built = METRICS.counter("fixed_base_tables_built").value
+        before = (table.curve.field.counter.snapshot(),
+                  other.field.counter.snapshot())
+        moved = table.rebind(other.curve)
+        assert METRICS.counter("fixed_base_tables_built").value == built
+        assert (table.curve.field.counter.snapshot(),
+                other.field.counter.snapshot()) == before
+        assert moved.curve is other.curve
+        for row, moved_row in zip(table.rows, moved.rows):
+            for point, copy in zip(row, moved_row):
+                assert copy.x.field is other.field
+                assert (copy.x.internal, copy.y.internal) == \
+                    (point.x.internal, point.y.internal)
+        k = _scalars(other, moved.bits)[-1]
+        assert moved.multiply(k).x.to_int() == table.multiply(k).x.to_int()
+
+    def test_rebind_refuses_another_curve(self, tables, suites):
+        with pytest.raises(ValueError, match="rebind"):
+            tables["weierstrass"].rebind(suites["edwards"].curve)
+
+    @pytest.mark.parametrize("key",
+                             ["secp160r1", "weierstrass", "edwards", "glv"])
+    def test_second_worker_state_uses_its_own_field(self, key):
+        """Two worker states in one process: the second one's fixed-base
+        public keys must combine with its own points (the process-wide
+        cache holds the first state's table)."""
+        from repro.serve.worker import WorkerState
+
+        secrets = []
+        for fixed_base in (True, True, False):
+            state = WorkerState(fixed_base=fixed_base)
+            ecdh = state.ecdh(key)
+            rng = random.Random(f"rebind:{key}")
+            own, peer = ecdh.generate_keypair(rng), ecdh.generate_keypair(rng)
+            secret = ecdh.shared_secret(own, peer.public)
+            secrets.append((secret.x.to_int(), secret.y.to_int()))
+            if fixed_base:
+                assert state.fixed_table(key).curve is state.suite(key).curve
+        assert secrets[0] == secrets[1] == secrets[2]
+
+    def test_fixed_base_ops_count_on_the_states_own_field(self):
+        from repro.serve.worker import WorkerState
+
+        deltas = []
+        for _ in range(2):
+            state = WorkerState()
+            state.warm(["secp160r1"])
+            state.field_ops_delta()
+            state.fixed_table("secp160r1").multiply(12345678901234567)
+            deltas.append(state.field_ops_delta())
+        assert deltas[0] == deltas[1]
+        assert deltas[0]["mul"] > 0

@@ -1,11 +1,13 @@
-"""Load generator: deterministic streams, byte-stable summaries, the
-serve determinism gate, and the bench record schema."""
+"""Load generator: deterministic streams, byte-stable summaries and the
+serve determinism gate; plus the serve suite's record entries and floors
+in the benchmark harness (:mod:`repro.analysis.bench`)."""
 
 import asyncio
 import json
 
 import pytest
 
+from repro.analysis import bench
 from repro.analysis.bench import validate_entry, validate_run_record
 from repro.serve import loadgen
 from repro.serve.loadgen import (
@@ -94,12 +96,12 @@ class TestSummary:
 
 class TestBenchRecord:
     def test_serve_entries_validate(self):
-        entry = loadgen._bench_entry("pool4", 8, 0.5)
+        entry = bench._bench_entry("pool4", 8, 0.5)
         validate_entry(entry)
         assert entry["ips"] == pytest.approx(16.0)
 
     def test_traced_engine_validates_and_carries_latency(self):
-        entry = loadgen._bench_entry("pool4_traced", 8, 0.5,
+        entry = bench._bench_entry("pool4_traced", 8, 0.5,
                                      latencies=[1.0, 2.0, 3.0, 10.0])
         validate_entry(entry)
         summary = entry["latency_ms"]
@@ -114,13 +116,13 @@ class TestBenchRecord:
             "keygen/secp160r1/pool4_traced:direct": 1.2,
             "keygen/secp160r1/pool4_traced:pool4": 0.4,
         }}
-        assert loadgen.check_floors(record) == 1
+        assert bench.check_floors(record, "serve") == 1
         assert "traced/untraced" in capsys.readouterr().out
         record["speedups"]["keygen/secp160r1/pool4_traced:pool4"] = 0.9
-        assert loadgen.check_floors(record) == 0
+        assert bench.check_floors(record, "serve") == 0
 
     def test_shard_entries_validate(self):
-        entry = loadgen._bench_entry("shard2", 60, 0.8, kernel="mixed",
+        entry = bench._bench_entry("shard2", 60, 0.8, kernel="mixed",
                                      latencies=[1.0, 2.0])
         validate_entry(entry)
         assert entry["name"] == "mixed/secp160r1/shard2"
@@ -131,24 +133,24 @@ class TestBenchRecord:
             "keygen/secp160r1/pool2:direct": 3.0,
             "mixed/secp160r1/shard2:shard1": 1.8,
         }}
-        assert loadgen.check_floors(record, cpus=4) == 0
+        assert bench.check_floors(record, "serve", cpus=4) == 0
         capsys.readouterr()
         record["speedups"]["mixed/secp160r1/shard2:shard1"] = 1.1
-        assert loadgen.check_floors(record, cpus=4) == 1
+        assert bench.check_floors(record, "serve", cpus=4) == 1
         assert "shard scaling" in capsys.readouterr().out
 
     def test_shard_floor_single_core_fallback(self, capsys):
         """On one core shards can't scale; only the anti-regression
-        bound applies (REPRO_SHARD_SINGLE_CORE_MIN, default 0.6)."""
+        bound applies (SHARD_SINGLE_CORE_MIN, 0.6)."""
         record = {"speedups": {
             "keygen/secp160r1/fixedbase:direct": 4.0,
             "keygen/secp160r1/pool2:direct": 3.0,
             "mixed/secp160r1/shard2:shard1": 1.01,
         }}
-        assert loadgen.check_floors(record, cpus=1) == 0
+        assert bench.check_floors(record, "serve", cpus=1) == 0
         assert "single-core" in capsys.readouterr().out
         record["speedups"]["mixed/secp160r1/shard2:shard1"] = 0.3
-        assert loadgen.check_floors(record, cpus=1) == 1
+        assert bench.check_floors(record, "serve", cpus=1) == 1
         assert "anti-regression" in capsys.readouterr().out
 
     def test_records_without_shard_legs_skip_the_gate(self):
@@ -156,10 +158,10 @@ class TestBenchRecord:
             "keygen/secp160r1/fixedbase:direct": 4.0,
             "keygen/secp160r1/pool2:direct": 3.0,
         }}
-        assert loadgen.check_floors(record, cpus=1) == 0
+        assert bench.check_floors(record, "serve", cpus=1) == 0
 
     def test_bad_serve_entries_rejected(self):
-        entry = loadgen._bench_entry("pool4", 8, 0.5)
+        entry = bench._bench_entry("pool4", 8, 0.5)
         with pytest.raises(ValueError, match="engine"):
             validate_entry(dict(entry, engine="warp9",
                                 name="keygen/secp160r1/warp9"))
@@ -171,9 +173,9 @@ class TestBenchRecord:
 
     @pytest.mark.bench
     def test_bench_record_and_floors(self):
-        record = loadgen.run_bench_serve(smoke=True, pools=(1,))
+        record = bench.run_bench_serve(smoke=True, pools=(1,))
         validate_run_record(record)
-        assert loadgen.check_floors(record) == 0
+        assert bench.check_floors(record, "serve") == 0
 
 
 class TestCli:
