@@ -3,7 +3,10 @@
 The field API (:class:`~repro.field.prime_field.PrimeField` /
 :class:`~repro.field.element.FpElement`) is what all curve arithmetic is
 written against.  Concrete fields differ in their internal representation and
-word-level algorithms:
+in the word-level algorithms they are counted as.  Values are computed on
+Python integers; the OPF and secp160r1 fields charge each op the word-op
+tally of the executed :mod:`repro.mpa` routine (measured once per field),
+and :mod:`repro.mpa` is the reference both are tested against:
 
 * :class:`~repro.field.prime_field.GenericPrimeField` — plain residues
   (functional baseline, toy fields).

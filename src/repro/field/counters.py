@@ -12,7 +12,7 @@ cycle estimates per processor mode.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Callable, Dict
 
 from ..mpa.counters import WordOpCounter
 
@@ -99,3 +99,15 @@ class FieldOpCounter:
             inv=self.inv,
             words=self.words.copy(),
         )
+
+
+def word_tally(routine: Callable[..., object], *args: object) -> WordOpCounter:
+    """The word-op tally one call of an executed :mod:`repro.mpa` routine fills.
+
+    The routines' loop shapes do not depend on the operand values, so one
+    run (on zero operands, say) gives the exact per-op delta a field
+    charges for every operation it computes on integers instead.
+    """
+    counter = WordOpCounter()
+    routine(*args, counter=counter)
+    return counter

@@ -5,9 +5,12 @@ OPF elements are stored in the Montgomery domain (radix ``R = 2^(s*w)``) and
 long as it is congruent to the represented element.  Addition/subtraction use
 the branch-less double-conditional-subtraction from paper Section III-A;
 multiplication and squaring use the OPF-optimised FIPS Montgomery routine
-(``s^2 + s`` word multiplications).  This means every field operation at the
-Python API level actually executes the word-level algorithm the paper's AVR
-assembly implements.
+(``s^2 + s`` word multiplications).  Values are computed on Python integers
+with the same corrections, so every result is the exact incompletely reduced
+representative the word-level routines of :mod:`repro.mpa` return; each op
+charges ``counter.words`` the word-op delta measured once, at construction,
+by running that executed routine.  :mod:`repro.mpa` stays the reference, and
+``tests/test_field_differential.py`` checks values and tallies against it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from typing import List, Optional
 
 from ..mpa.addsub import modadd_incomplete, modsub_incomplete
 from ..mpa.montgomery import MontgomeryContext, fips_montgomery_opf
-from ..mpa.words import DEFAULT_WORD_BITS, from_words, to_words
+from ..mpa.words import DEFAULT_WORD_BITS, to_words
+from .counters import word_tally
 from .inversion import kaliski_almost_inverse
 from .prime_field import PrimeField
 
@@ -48,7 +52,10 @@ class OptimalPrimeField(PrimeField):
 
     Raises ``ValueError`` if the resulting modulus does not have the
     low-weight word shape (e.g. if ``k`` is not a multiple of *word_bits*
-    plus the final partial word arrangement required).
+    plus the final partial word arrangement required), or if it does not
+    fill its top word.  Incomplete reduction needs ``p > R/2``: two
+    conditional corrections by ``p`` must bring any sum or difference in
+    ``(-R, 2R)`` back into ``[0, R)``.
     """
 
     cost_profile = "opf"
@@ -70,7 +77,26 @@ class OptimalPrimeField(PrimeField):
         self.mont = MontgomeryContext.create(p, word_bits)
         self.num_words = self.mont.num_words
         self.radix_bits = self.num_words * word_bits
-        self._p_words = self.mont.p_words
+        if p.bit_length() != self.radix_bits:
+            raise ValueError(
+                f"p = {u}*2^{k}+1 has {p.bit_length()} bits, not the "
+                f"{self.radix_bits} of its {self.num_words} words: incomplete "
+                f"reduction needs p > R/2"
+            )
+        self._r = self.mont.r
+        self._r_mask = self._r - 1
+        self._r_inv = pow(self._r, -1, p)
+        #: ``-p^-1 mod R``, the full-width Montgomery quotient constant.
+        self._n_prime = (-pow(p, -1, self._r)) % self._r
+        # Per-op word tallies of the executed reference routines.
+        zeros = [0] * self.num_words
+        p_words = self.mont.p_words
+        self._mul_words = word_tally(fips_montgomery_opf, zeros, zeros,
+                                     self.mont)
+        self._add_words = word_tally(modadd_incomplete, zeros, zeros,
+                                     p_words, word_bits)
+        self._sub_words = word_tally(modsub_incomplete, zeros, zeros,
+                                     p_words, word_bits)
         #: Phase-1 iteration counts of every inversion performed — exposed for
         #: the leakage analysis of the projective-to-affine conversion.
         self.inversion_iteration_counts: List[int] = []
@@ -89,38 +115,53 @@ class OptimalPrimeField(PrimeField):
         if value == 1:
             return self.mont.r % self.p
         self.counter.mul += 1
-        v_words = to_words(value, self.num_words, self.word_bits)
-        r2_words = to_words(self.mont.r2, self.num_words, self.word_bits)
-        out = fips_montgomery_opf(v_words, r2_words, self.mont,
-                                  self.counter.words)
-        return from_words(out, self.word_bits)
+        return self._mul(value, self.mont.r2)
 
     def internal_to_int(self, internal: int) -> int:
         """Leave the Montgomery domain and fully reduce (uncounted read-out)."""
-        r_inv = pow(self.mont.r, -1, self.p)
-        return (internal * r_inv) % self.p
-
-    # -- word helpers --------------------------------------------------------
-
-    def _words(self, internal: int) -> List[int]:
-        return to_words(internal, self.num_words, self.word_bits)
+        return (internal * self._r_inv) % self.p
 
     # -- arithmetic -----------------------------------------------------------
 
     def _add(self, x: int, y: int) -> int:
-        out = modadd_incomplete(self._words(x), self._words(y), self._p_words,
-                                self.word_bits, self.counter.words)
-        return from_words(out, self.word_bits)
+        # Two conditional subtractions of p, each taken on a carry out of R.
+        self.counter.words += self._add_words
+        t = x + y
+        if t >= self._r:
+            t -= self.p
+            if t >= self._r:
+                t -= self.p
+                if t >= self._r:
+                    raise AssertionError(
+                        "incomplete reduction invariant violated: residual "
+                        "carry 1 after two conditional subtractions"
+                    )
+        return t
 
     def _sub(self, x: int, y: int) -> int:
-        out = modsub_incomplete(self._words(x), self._words(y), self._p_words,
-                                self.word_bits, self.counter.words)
-        return from_words(out, self.word_bits)
+        # Two conditional additions of p, each taken on a borrow below 0.
+        self.counter.words += self._sub_words
+        t = x - y
+        if t < 0:
+            t += self.p
+            if t < 0:
+                t += self.p
+                if t < 0:
+                    raise AssertionError(
+                        "incomplete reduction invariant violated: residual "
+                        "borrow 1 after two conditional additions"
+                    )
+        return t
 
     def _mul(self, x: int, y: int) -> int:
-        out = fips_montgomery_opf(self._words(x), self._words(y), self.mont,
-                                  self.counter.words)
-        return from_words(out, self.word_bits)
+        # Montgomery REDC with the full-width quotient m: the FIPS column
+        # digits of m are exactly its words, so the result is the same
+        # representative below R that fips_montgomery_opf returns.
+        self.counter.words += self._mul_words
+        t = x * y
+        m = (t * self._n_prime) & self._r_mask
+        v = (t + m * self.p) >> self.radix_bits
+        return v - self.p if v >= self._r else v
 
     def _mul_small(self, x: int, constant: int) -> int:
         # Multiplying the Montgomery form by a *plain* short constant keeps

@@ -2,7 +2,7 @@
 
 :class:`PrimeField` defines the API all curve and protocol code is written
 against; concrete subclasses provide the internal representation and the
-word-level arithmetic:
+arithmetic:
 
 * :class:`GenericPrimeField` — plain residues with Python big-int reduction.
   Used for toy fields in tests and as the functional baseline.
@@ -13,7 +13,10 @@ word-level arithmetic:
 
 Every field owns a :class:`~repro.field.counters.FieldOpCounter`; the
 element operators bump it, which is how the cycle model later prices a whole
-scalar multiplication.
+scalar multiplication.  The OPF and secp160r1 fields compute their values on
+Python integers and charge the embedded word-level tally from a per-op delta
+measured on the executed :mod:`repro.mpa` routine, which stays the reference
+for both the values and the tallies.
 """
 
 from __future__ import annotations

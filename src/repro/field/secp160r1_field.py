@@ -7,7 +7,11 @@ this prime works by folding: ``2^160 ≡ 2^31 + 1 (mod p)``, so the high half
 of a product is multiplied by the small constant ``2^31 + 1`` and added back —
 additions rather than the multiplication-based reduction of OPFs, which is
 exactly the contrast the paper draws between generalized-Mersenne-style
-primes and OPFs.
+primes and OPFs.  Values are computed on Python integers; each
+multiplication charges ``counter.words`` the word-op delta measured once, at
+construction, by running the executed product-scanning routine of
+:mod:`repro.mpa`, which stays the reference
+(``tests/test_field_differential.py``).
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ from __future__ import annotations
 from typing import Optional
 
 from ..mpa.mul import byte_muls_per_word_mul, mul_product_scanning
-from ..mpa.words import DEFAULT_WORD_BITS, from_words, to_words
+from ..mpa.words import DEFAULT_WORD_BITS
+from .counters import word_tally
 from .inversion import binary_euclid_inverse
 from .prime_field import PrimeField
 
@@ -26,9 +31,10 @@ SECP160R1_P = (1 << 160) - (1 << 31) - 1
 class Secp160r1Field(PrimeField):
     """F_p for p = 2^160 - 2^31 - 1 with fold-based fast reduction.
 
-    Elements are stored as plain residues.  Multiplication runs the real
-    word-level product (Comba/hybrid organisation, with byte-level MUL
-    counting) followed by the two-fold pseudo-Mersenne reduction.
+    Elements are stored as plain residues.  Multiplication is the integer
+    product followed by the two-fold pseudo-Mersenne reduction; it is
+    counted as the word-level Comba product (``s^2`` word muls, each
+    ``(w/8)^2`` byte-level AVR MULs in the hybrid organisation).
     """
 
     cost_profile = "secp160r1"
@@ -41,6 +47,9 @@ class Secp160r1Field(PrimeField):
         self.byte_muls_per_field_mul = (
             self.num_words ** 2 * byte_muls_per_word_mul(word_bits)
         )
+        zeros = [0] * self.num_words
+        self._mul_words = word_tally(mul_product_scanning, zeros, zeros,
+                                     word_bits)
 
     # -- representation -----------------------------------------------------
 
@@ -81,13 +90,8 @@ class Secp160r1Field(PrimeField):
         return t + self.p if t < 0 else t
 
     def _mul(self, x: int, y: int) -> int:
-        xw = to_words(x, self.num_words, self.word_bits)
-        yw = to_words(y, self.num_words, self.word_bits)
-        product = from_words(
-            mul_product_scanning(xw, yw, self.word_bits, self.counter.words),
-            self.word_bits,
-        )
-        return self.reduce_product(product)
+        self.counter.words += self._mul_words
+        return self.reduce_product(x * y)
 
     def _mul_small(self, x: int, constant: int) -> int:
         return self.reduce_product(x * constant)

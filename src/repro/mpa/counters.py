@@ -64,6 +64,16 @@ class WordOpCounter:
             shift=self.shift + other.shift,
         )
 
+    def __iadd__(self, other: "WordOpCounter") -> "WordOpCounter":
+        """Add *other*'s tallies in place (holders of ``self`` see them)."""
+        self.mul += other.mul
+        self.add += other.add
+        self.sub += other.sub
+        self.load += other.load
+        self.store += other.store
+        self.shift += other.shift
+        return self
+
     def copy(self) -> "WordOpCounter":
         """Independent copy of the current tallies."""
         return WordOpCounter(

@@ -45,8 +45,9 @@ def toy_field():
 
 @pytest.fixture
 def toy_opf():
-    """p = 13 * 2^8 + 1 = 3329 with 8-bit words: a genuine low-weight OPF."""
-    return OptimalPrimeField(13, 8, word_bits=8, name="toy-opf")
+    """p = 141 * 2^8 + 1 = 36097 with 8-bit words: a genuine low-weight OPF
+    that fills its two words (p > R/2, as incomplete reduction needs)."""
+    return OptimalPrimeField(141, 8, word_bits=8, name="toy-opf")
 
 
 @pytest.fixture

@@ -142,18 +142,50 @@ class TestCounting:
         assert 160 <= k <= 320  # Kaliski phase-1 bound
 
 
+class TestModulusBound:
+    """Incomplete reduction needs p > R/2: two corrections by p must bring
+    any sum or difference in (-R, 2R) back into [0, R)."""
+
+    def test_rejects_modulus_below_half_radix(self):
+        # p = 3329 has the OPF word shape at w = 8, but R = 2^16 > 2p.
+        assert is_opf_prime_shape(13 * (1 << 8) + 1, word_bits=8)
+        with pytest.raises(ValueError, match="p > R/2"):
+            OptimalPrimeField(13, 8, word_bits=8)
+
+    def test_chain_reaches_top_of_radix(self):
+        field = OptimalPrimeField(141, 8, word_bits=8)
+        radix = 1 << field.radix_bits
+        x = field.from_int(5)
+        for _ in range(3):
+            x = x + x
+        # The chain that broke the old toy modulus p = 3329.
+        assert (field.one - x).to_int() == (1 - 40) % field.p
+        x, expect, internals = field.from_int(5), 5, []
+        for _ in range(12):
+            x = x + x
+            internals.append(x.internal)
+            x = field.one - x
+            internals.append(x.internal)
+            x = x - field.from_int(field.p - 1)
+            internals.append(x.internal)
+            expect = (2 - 2 * expect) % field.p
+        assert x.to_int() == expect
+        assert all(0 <= v < radix for v in internals)
+        assert max(internals) > (field.p + radix) // 2  # well above p
+
+
 class TestToyOpfWordSizes:
     def test_8bit_toy_field_exhaustive_add(self, ):
-        field = OptimalPrimeField(13, 8, word_bits=8)
+        field = OptimalPrimeField(141, 8, word_bits=8)
         p = field.p
-        for a in range(0, p, 53):
-            for b in range(0, p, 59):
+        for a in range(0, p, 541):
+            for b in range(0, p, 587):
                 assert (field.from_int(a) + field.from_int(b)).to_int() \
                     == (a + b) % p
 
     def test_16bit_words(self):
-        field = OptimalPrimeField(13, 16, word_bits=16)
-        assert field.p == 13 * (1 << 16) + 1
+        field = OptimalPrimeField(32787, 16, word_bits=16)
+        assert field.p == 32787 * (1 << 16) + 1
         a = field.from_int(100000)
         b = field.from_int(77777)
         assert (a * b).to_int() == 100000 * 77777 % field.p
